@@ -59,24 +59,12 @@ simulateForwarding(const trace::SharingTrace &trace,
     EventSeq seq = 0;
     for (const auto &ev : trace.events()) {
         SharingBitmap pred;
-        switch (mode) {
-          case UpdateMode::Direct:
-            if (ev.hasPrevWriter)
-                table.update(ev.pid, ev.pc, ev.dir, ev.block,
-                             ev.invalidated);
-            pred = table.predict(ev.pid, ev.pc, ev.dir, ev.block);
-            break;
-          case UpdateMode::Forwarded:
-            if (ev.hasPrevWriter)
-                table.update(ev.prevWriterPid, ev.prevWriterPc, ev.dir,
-                             ev.block, ev.invalidated);
-            pred = table.predict(ev.pid, ev.pc, ev.dir, ev.block);
-            break;
-          case UpdateMode::Ordered:
+        if (mode == UpdateMode::Ordered) {
             pred = table.predict(ev.pid, ev.pc, ev.dir, ev.block);
             table.update(ev.pid, ev.pc, ev.dir, ev.block,
                          ordered_fb[seq]);
-            break;
+        } else {
+            pred = predict::onlineStep(table, ev, mode);
         }
         ++seq;
 

@@ -98,24 +98,12 @@ evaluateDistributed(const trace::SharingTrace &trace,
     EventSeq seq = 0;
     for (const auto &ev : trace.events()) {
         SharingBitmap pred;
-        switch (mode) {
-          case UpdateMode::Direct:
-            if (ev.hasPrevWriter)
-                predictor.update(ev.pid, ev.pc, ev.dir, ev.block,
-                                 ev.invalidated);
-            pred = predictor.predict(ev.pid, ev.pc, ev.dir, ev.block);
-            break;
-          case UpdateMode::Forwarded:
-            if (ev.hasPrevWriter)
-                predictor.update(ev.prevWriterPid, ev.prevWriterPc,
-                                 ev.dir, ev.block, ev.invalidated);
-            pred = predictor.predict(ev.pid, ev.pc, ev.dir, ev.block);
-            break;
-          case UpdateMode::Ordered:
+        if (mode == UpdateMode::Ordered) {
             pred = predictor.predict(ev.pid, ev.pc, ev.dir, ev.block);
             predictor.update(ev.pid, ev.pc, ev.dir, ev.block,
                              ordered_fb[seq]);
-            break;
+        } else {
+            pred = onlineStep(predictor, ev, mode);
         }
         conf.add(pred, ev.readers, n);
         ++seq;

@@ -73,36 +73,13 @@ evaluateTrace(const trace::SharingTrace &trace, PredictorTable &table,
     EventSeq seq = 0;
     for (const auto &ev : trace.events()) {
         SharingBitmap pred;
-        switch (mode) {
-          case UpdateMode::Direct:
-            // Feedback exists only when a *written* version died here
-            // (the invalidation of some writer's readers).  Blocks
-            // read before their first write carry no attributable
-            // history.
-            if (ev.hasPrevWriter)
-                table.update(ev.pid, ev.pc, ev.dir, ev.block,
-                             ev.invalidated);
-            pred = table.predict(ev.pid, ev.pc, ev.dir, ev.block);
-            break;
-
-          case UpdateMode::Forwarded:
-            // The dying version's readers update the entry of the
-            // writer that produced it.  When the index uses no writer
-            // identity (pure address schemes) this entry coincides
-            // with the current writer's, which is why direct,
-            // forwarded and ordered update are equivalent there
-            // (paper section 3.4).
-            if (ev.hasPrevWriter)
-                table.update(ev.prevWriterPid, ev.prevWriterPc, ev.dir,
-                             ev.block, ev.invalidated);
-            pred = table.predict(ev.pid, ev.pc, ev.dir, ev.block);
-            break;
-
-          case UpdateMode::Ordered:
+        if (mode == UpdateMode::Ordered) {
+            // Predict, then learn this event's own eventual outcome.
             pred = table.predict(ev.pid, ev.pc, ev.dir, ev.block);
             table.update(ev.pid, ev.pc, ev.dir, ev.block,
                          ordered_fb[seq]);
-            break;
+        } else {
+            pred = onlineStep(table, ev, mode);
         }
         conf.add(pred, ev.readers, n);
         ++seq;

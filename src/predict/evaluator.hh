@@ -99,6 +99,36 @@ std::vector<SharingBitmap>
 orderedFeedback(const trace::SharingTrace &trace);
 
 /**
+ * One direct or forwarded event step: when a written version died
+ * here, its invalidated readers update the entry @p mode selects —
+ * the current writer's (direct) or that of the writer that produced
+ * the dying version (forwarded) — and then the current writer
+ * predicts.  Blocks read before their first write carry no
+ * attributable history and only predict.  When the index uses no
+ * writer identity the two entries coincide, which is why the modes
+ * agree on pure address schemes (paper section 3.4).
+ *
+ * The one implementation of online update: evaluateTrace, the
+ * serving session (serve/session.hh), the distributed predictor and
+ * the forwarding evaluators all step through it.  @p table is a
+ * PredictorTable or anything with its update()/predict() signatures.
+ * Ordered update needs each event's eventual outcome, so it stays in
+ * the offline evaluators.
+ */
+template <typename Table>
+inline SharingBitmap
+onlineStep(Table &table, const trace::CoherenceEvent &ev, UpdateMode mode)
+{
+    if (ev.hasPrevWriter) {
+        const bool fwd = mode == UpdateMode::Forwarded;
+        table.update(fwd ? ev.prevWriterPid : ev.pid,
+                     fwd ? ev.prevWriterPc : ev.pc, ev.dir, ev.block,
+                     ev.invalidated);
+    }
+    return table.predict(ev.pid, ev.pc, ev.dir, ev.block);
+}
+
+/**
  * Evaluate a scheme over one trace using a caller-provided table
  * (cleared first).  @return the per-bit confusion counts.
  */

@@ -44,27 +44,9 @@ Session::Session(std::uint64_t id, const SessionConfig &config,
 SharingBitmap
 Session::onEvent(const trace::CoherenceEvent &ev)
 {
-    // Mirror predict::evaluateTrace exactly — the offline evaluator
-    // is the oracle the serve tests compare byte-for-byte against.
-    SharingBitmap pred;
-    switch (mode_) {
-      case predict::UpdateMode::Direct:
-        if (ev.hasPrevWriter)
-            table_.update(ev.pid, ev.pc, ev.dir, ev.block,
-                          ev.invalidated);
-        pred = table_.predict(ev.pid, ev.pc, ev.dir, ev.block);
-        break;
-
-      case predict::UpdateMode::Forwarded:
-        if (ev.hasPrevWriter)
-            table_.update(ev.prevWriterPid, ev.prevWriterPc, ev.dir,
-                          ev.block, ev.invalidated);
-        pred = table_.predict(ev.pid, ev.pc, ev.dir, ev.block);
-        break;
-
-      case predict::UpdateMode::Ordered:
-        ccp_panic("ordered session cannot exist");
-    }
+    // The offline evaluator's own step (ordered sessions are refused
+    // at construction), so served predictions equal evaluateTrace's.
+    const SharingBitmap pred = predict::onlineStep(table_, ev, mode_);
     total_.add(pred, ev.readers, nNodes_);
     ++events_;
 

@@ -245,6 +245,10 @@ inline constexpr unsigned maxLanePadBits = 4;
 std::size_t schemeStateWords(const predict::SchemeSpec &scheme,
                              unsigned n_nodes);
 
+/** planBatches' default per-batch packed-state cap (32 MiB). */
+inline constexpr std::size_t defaultBatchStateWords = std::size_t(4)
+                                                      << 20;
+
 /**
  * Partition a scheme list into contiguous batches for the event-major
  * kernel: schemes accumulate into a batch until its packed state
@@ -260,7 +264,7 @@ std::size_t schemeStateWords(const predict::SchemeSpec &scheme,
 std::vector<std::pair<std::size_t, std::size_t>>
 planBatches(const std::vector<predict::SchemeSpec> &schemes,
             unsigned n_nodes,
-            std::size_t max_state_words = std::size_t(4) << 20,
+            std::size_t max_state_words = defaultBatchStateWords,
             std::size_t max_schemes = 32);
 
 } // namespace ccp::sweep

@@ -60,7 +60,6 @@ ParallelSweep::ParallelSweep(unsigned threads, SweepKernel kernel)
     if (pool_.threads() > 1) {
         NumaTopology topo = numaTopology();
         if (topo.multiNode()) {
-            numaNodesUsed_ = topo.nodes.size();
             auto shared =
                 std::make_shared<NumaTopology>(std::move(topo));
             pool_.setWorkerStartHook([shared](unsigned worker) {
@@ -81,128 +80,134 @@ ParallelSweep::evaluate(const std::vector<trace::SharingTrace> &traces,
                         const std::vector<SchemeSpec> &schemes,
                         UpdateMode mode, const obs::ProgressFn &progress)
 {
-    return kernel_ == SweepKernel::Reference
-               ? evaluateReference(traces, schemes, mode, progress)
-               : evaluateBatched(traces, schemes, mode, progress);
+    ccp_assert(!traces.empty(), "empty benchmark suite");
+    std::vector<SuiteResult> results(schemes.size());
+    run(traces, schemes, mode,
+        plan(schemes, traces.front().nNodes(), defaultBatchStateWords),
+        results, progress);
+    return results;
 }
 
-std::vector<SuiteResult>
-ParallelSweep::evaluateReference(
-    const std::vector<trace::SharingTrace> &traces,
-    const std::vector<SchemeSpec> &schemes, UpdateMode mode,
-    const obs::ProgressFn &progress)
+std::vector<SweepTask>
+ParallelSweep::plan(const std::vector<SchemeSpec> &schemes,
+                    unsigned n_nodes, std::size_t max_state_words) const
 {
-    std::vector<SuiteResult> results(schemes.size());
+    std::vector<SweepTask> tasks;
+    if (kernel_ == SweepKernel::Reference) {
+        tasks.reserve(schemes.size());
+        for (std::size_t i = 0; i < schemes.size(); ++i)
+            tasks.push_back({i, i + 1, i});
+        return tasks;
+    }
+    // Every scheme's predictor state is private to its batch, so
+    // results are identical to the reference kernel's regardless of
+    // partitioning.
+    auto ranges = planBatches(schemes, n_nodes, max_state_words);
+    tasks.reserve(ranges.size());
+    for (std::size_t b = 0; b < ranges.size(); ++b)
+        tasks.push_back({ranges[b].first, ranges[b].second, b});
+    return tasks;
+}
 
+void
+ParallelSweep::run(const std::vector<trace::SharingTrace> &traces,
+                   const std::vector<SchemeSpec> &schemes,
+                   UpdateMode mode, const std::vector<SweepTask> &tasks,
+                   std::vector<SuiteResult> &results,
+                   const obs::ProgressFn &progress,
+                   const TaskPolicy &policy, std::size_t done,
+                   std::size_t resumed)
+{
     // One stats shard per worker.  The shards are merged below into
     // whatever registry this thread accounts into (root() outside
     // tests), in worker order, so totals match the sequential sweep
     // and merging is deterministic for a given thread count.
     std::vector<obs::StatsRegistry> shards(pool_.threads());
 
-    obs::ProgressMeter meter(schemes.size());
-    std::atomic<std::size_t> completed{0};
+    obs::ProgressMeter meter(schemes.size(), resumed);
+    std::atomic<std::size_t> terminal{done};
     std::mutex progress_mutex;
+    auto tick = [&](std::size_t count) {
+        const std::size_t now = terminal.fetch_add(count) + count;
+        if (progress) {
+            // The meter's high-water mark keeps done monotonic even
+            // when workers reach this lock out of order.
+            std::lock_guard<std::mutex> lock(progress_mutex);
+            progress(meter.tick(now));
+        }
+    };
+    if (done > 0)
+        tick(0);
 
-    // Chunk of 1: a scheme evaluation is milliseconds to seconds of
-    // work, so per-job queue traffic is noise and fine-grained
-    // stealing keeps workers busy through the expensive PAs schemes.
+    // Chunk of 1: a task is milliseconds to seconds of work, so
+    // per-job queue traffic is noise and fine-grained stealing keeps
+    // workers busy through the expensive PAs schemes.
     pool_.forEach(
-        schemes.size(),
+        tasks.size(),
         [&](std::size_t job, unsigned worker) {
-            obs::StatsRegistry &shard = shards[worker];
-            obs::ScopedRegistry route(shard);
-            {
-                CCP_TRACE_SPAN("sweep", "sweep.scheme");
-                obs::ScopedTimer timer(shard,
-                                       "sweep.scheme_eval_seconds");
-                obs::Stopwatch lat;
-                results[job] = evaluateSuite(traces, schemes[job], mode);
-                shard.latency("sweep.scheme_latency_ns")
-                    .add(std::uint64_t(lat.elapsedSec() * 1e9));
-            }
-            ++shard.counter("sweep.schemes_evaluated");
-
-            std::size_t done = completed.fetch_add(1) + 1;
-            if (progress) {
-                // The meter's high-water mark keeps done monotonic
-                // even when workers reach this lock out of order.
-                std::lock_guard<std::mutex> lock(progress_mutex);
-                progress(meter.tick(done));
-            }
+            obs::ScopedRegistry route(shards[worker]);
+            const SweepTask &task = tasks[job];
+            auto eval = [&] {
+                evaluateTask(traces, schemes, mode, task, results);
+            };
+            bool terminal_task = true;
+            if (policy)
+                terminal_task = policy(task, eval);
+            else
+                eval();
+            if (terminal_task)
+                tick(task.size());
         },
         1);
 
     obs::StatsRegistry &parent = obs::StatsRegistry::current();
     for (const auto &shard : shards)
         parent.merge(shard);
-    return results;
 }
 
-std::vector<SuiteResult>
-ParallelSweep::evaluateBatched(
-    const std::vector<trace::SharingTrace> &traces,
-    const std::vector<SchemeSpec> &schemes, UpdateMode mode,
-    const obs::ProgressFn &progress)
+void
+ParallelSweep::evaluateTask(const std::vector<trace::SharingTrace> &traces,
+                            const std::vector<SchemeSpec> &schemes,
+                            UpdateMode mode, const SweepTask &task,
+                            std::vector<SuiteResult> &results) const
 {
-    ccp_assert(!traces.empty(), "empty benchmark suite");
-    const unsigned n_nodes = traces.front().nNodes();
-
-    // Batch boundaries depend only on the scheme list (never the
-    // thread count), and every scheme's predictor state is private to
-    // its batch, so results are identical to the reference kernel's
-    // regardless of partitioning or worker interleaving.
-    auto batches = planBatches(schemes, n_nodes);
-
-    std::vector<SuiteResult> results(schemes.size());
-    std::vector<obs::StatsRegistry> shards(pool_.threads());
-
-    obs::ProgressMeter meter(schemes.size());
-    std::atomic<std::size_t> completed{0};
-    std::mutex progress_mutex;
-
-    pool_.forEach(
-        batches.size(),
-        [&](std::size_t job, unsigned worker) {
-            obs::StatsRegistry &shard = shards[worker];
-            obs::ScopedRegistry route(shard);
-            auto [first, last] = batches[job];
+    obs::StatsRegistry &stats = obs::StatsRegistry::current();
+    if (kernel_ == SweepKernel::Reference) {
+        // Scheme-major oracle: one evaluator pass per scheme.
+        for (std::size_t i = task.first; i < task.last; ++i) {
             {
-                CCP_TRACE_SPAN_N("sweep", "sweep.batch", last - first);
-                obs::ScopedTimer timer(shard,
-                                       "sweep.batch_eval_seconds");
+                CCP_TRACE_SPAN("sweep", "sweep.scheme");
+                obs::ScopedTimer timer(stats,
+                                       "sweep.scheme_eval_seconds");
                 obs::Stopwatch lat;
-                BatchEvaluator batch(
-                    {schemes.begin() +
-                         static_cast<std::ptrdiff_t>(first),
-                     schemes.begin() +
-                         static_cast<std::ptrdiff_t>(last)},
-                    n_nodes,
-                    kernel_ == SweepKernel::Simd
-                        ? BatchEngine::Simd
-                        : BatchEngine::Scalar);
-                auto batch_results = batch.evaluateSuite(traces, mode);
-                for (std::size_t i = 0; i < batch_results.size(); ++i)
-                    results[first + i] = std::move(batch_results[i]);
-                shard.latency("sweep.batch_latency_ns")
+                results[i] = evaluateSuite(traces, schemes[i], mode);
+                stats.latency("sweep.scheme_latency_ns")
                     .add(std::uint64_t(lat.elapsedSec() * 1e9));
             }
-            ++shard.counter("sweep.batches_evaluated");
-            shard.counter("sweep.schemes_evaluated") += last - first;
+            ++stats.counter("sweep.schemes_evaluated");
+        }
+        return;
+    }
 
-            std::size_t done =
-                completed.fetch_add(last - first) + (last - first);
-            if (progress) {
-                std::lock_guard<std::mutex> lock(progress_mutex);
-                progress(meter.tick(done));
-            }
-        },
-        1);
-
-    obs::StatsRegistry &parent = obs::StatsRegistry::current();
-    for (const auto &shard : shards)
-        parent.merge(shard);
-    return results;
+    // Event-major: each trace event decoded once for the whole batch.
+    {
+        CCP_TRACE_SPAN_N("sweep", "sweep.batch", task.size());
+        obs::ScopedTimer timer(stats, "sweep.batch_eval_seconds");
+        obs::Stopwatch lat;
+        BatchEvaluator batch(
+            {schemes.begin() + static_cast<std::ptrdiff_t>(task.first),
+             schemes.begin() + static_cast<std::ptrdiff_t>(task.last)},
+            traces.front().nNodes(),
+            kernel_ == SweepKernel::Simd ? BatchEngine::Simd
+                                         : BatchEngine::Scalar);
+        auto batch_results = batch.evaluateSuite(traces, mode);
+        for (std::size_t i = 0; i < batch_results.size(); ++i)
+            results[task.first + i] = std::move(batch_results[i]);
+        stats.latency("sweep.batch_latency_ns")
+            .add(std::uint64_t(lat.elapsedSec() * 1e9));
+    }
+    ++stats.counter("sweep.batches_evaluated");
+    stats.counter("sweep.schemes_evaluated") += task.size();
 }
 
 } // namespace ccp::sweep

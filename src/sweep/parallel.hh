@@ -1,27 +1,34 @@
 /**
  * @file
- * ParallelSweep: the sharded evaluation engine under the design-space
- * sweeps (Tables 8-11, Figures 6-9).
+ * ParallelSweep: the task loop under every design-space sweep
+ * (Tables 8-11, Figures 6-9), plain or resilient.
  *
  * Schemes are embarrassingly parallel — each evaluation builds its
  * own predictor table and only reads the shared traces — so the
- * engine hands scheme indices to a ThreadPool and each worker
- * accumulates its `evaluator.*` / `sweep.*` stats into a private
- * StatsRegistry shard (installed thread-locally via ScopedRegistry).
- * At join the shards are merged, in worker order, into the registry
- * the calling thread accounts into, so totals are exactly what the
- * sequential sweep would have produced.
+ * engine plans the scheme list into tasks (plan()), hands them to a
+ * ThreadPool, and each worker accumulates its `evaluator.*` /
+ * `sweep.*` stats into a private StatsRegistry shard (installed
+ * thread-locally via ScopedRegistry).  At join the shards are merged,
+ * in worker order, into the registry the calling thread accounts
+ * into, so totals are exactly what the sequential sweep would have
+ * produced.
  *
  * Results are written by scheme index and progress is reported
  * through a monotonic ProgressMeter, so output order, ranking input,
  * and final progress are deterministic regardless of worker
  * interleaving.  threads == 1 runs on the calling thread only — the
  * pre-parallel code path.
+ *
+ * ResilientRunner (sweep/runner.hh) drives the same loop through
+ * run(), wrapping each task in its checkpoint / retry / drain policy,
+ * so both engines share one plan, one pool, one kernel dispatch and
+ * one set of stats.
  */
 
 #ifndef CCP_SWEEP_PARALLEL_HH
 #define CCP_SWEEP_PARALLEL_HH
 
+#include <functional>
 #include <vector>
 
 #include "common/thread_pool.hh"
@@ -64,9 +71,35 @@ const char *sweepKernelName(SweepKernel kernel);
 /** Parse "batched" / "reference" / "simd"; @return false else. */
 bool parseSweepKernel(const std::string &text, SweepKernel &kernel);
 
+/**
+ * One unit of sweep work: the contiguous scheme range [first, last)
+ * and its position in the full plan (the ordinal fault-injection
+ * points and the resilient runner key on).
+ */
+struct SweepTask
+{
+    std::size_t first = 0;
+    std::size_t last = 0;
+    std::size_t ordinal = 0;
+
+    std::size_t size() const { return last - first; }
+};
+
 class ParallelSweep
 {
   public:
+    /** Evaluates one task into the results vector; may throw. */
+    using TaskEval = std::function<void()>;
+    /**
+     * Per-task policy around the kernel: called on the worker thread
+     * with that worker's stats shard as the current registry.  It
+     * calls @p eval zero or more times (retries) and returns whether
+     * the task's schemes are now terminal — evaluated or failed —
+     * and so advance progress.
+     */
+    using TaskPolicy =
+        std::function<bool(const SweepTask &, const TaskEval &)>;
+
     /** @param threads total workers, caller included; 0 = one per
      *  hardware thread, 1 = sequential in the calling thread.  On a
      *  multi-node NUMA host with spawned workers, a worker start hook
@@ -83,15 +116,8 @@ class ParallelSweep
     /**
      * Evaluate every scheme over the suite; results in scheme order,
      * bit-identical across kernels, thread counts and completion
-     * orders.  The reference kernel hands one scheme per task and
-     * records "sweep.scheme_eval_seconds" / "sweep.schemes_evaluated"
-     * exactly as the sequential path did; the batched kernel hands a
-     * batch of schemes per task (see planBatches), records
-     * "sweep.batch_eval_seconds" / "sweep.batches_evaluated" plus the
-     * same "sweep.schemes_evaluated" total, and its per-walk
-     * throughput lands in "batch.*".  @p progress (if set) observes
-     * completions with monotonically advancing scheme done counts
-     * under either kernel.
+     * orders.  @p progress (if set) observes completions with
+     * monotonically advancing scheme done counts under any kernel.
      */
     std::vector<predict::SuiteResult>
     evaluate(const std::vector<trace::SharingTrace> &traces,
@@ -99,23 +125,56 @@ class ParallelSweep
              predict::UpdateMode mode,
              const obs::ProgressFn &progress = {});
 
+    /**
+     * The task plan: one scheme per task under the reference kernel,
+     * planBatches(schemes, n_nodes, max_state_words) otherwise
+     * (evaluate() caps at sweep::defaultBatchStateWords).
+     * Deterministic in the scheme list and cap alone, never in the
+     * thread count, so results and checkpoints cannot depend on
+     * worker interleaving.
+     */
+    std::vector<SweepTask>
+    plan(const std::vector<predict::SchemeSpec> &schemes,
+         unsigned n_nodes, std::size_t max_state_words) const;
+
+    /**
+     * The task loop under evaluate() and ResilientRunner: evaluate
+     * @p tasks (any subset of plan()) on the pool, writing each
+     * scheme's result to @p results by index, then merge the worker
+     * shards into the calling thread's registry.
+     *
+     * Stats per kernel: the reference kernel records
+     * "sweep.scheme_eval_seconds" / "sweep.scheme_latency_ns" per
+     * scheme; the batched and simd kernels record
+     * "sweep.batch_eval_seconds" / "sweep.batch_latency_ns" and
+     * "sweep.batches_evaluated" per task, with their per-walk
+     * throughput in "batch.*".  Every kernel counts
+     * "sweep.schemes_evaluated".
+     *
+     * @param policy wraps each task (null: just evaluate it).
+     * @param done schemes already terminal before the loop (resumed
+     *        or skipped), where progress starts.
+     * @param resumed those of @p done restored from a checkpoint
+     *        (obs::ProgressMeter's baseline).
+     */
+    void run(const std::vector<trace::SharingTrace> &traces,
+             const std::vector<predict::SchemeSpec> &schemes,
+             predict::UpdateMode mode,
+             const std::vector<SweepTask> &tasks,
+             std::vector<predict::SuiteResult> &results,
+             const obs::ProgressFn &progress,
+             const TaskPolicy &policy = {}, std::size_t done = 0,
+             std::size_t resumed = 0);
+
   private:
-    std::vector<predict::SuiteResult>
-    evaluateReference(const std::vector<trace::SharingTrace> &traces,
+    /** One task through this kernel, stats to the current registry. */
+    void evaluateTask(const std::vector<trace::SharingTrace> &traces,
                       const std::vector<predict::SchemeSpec> &schemes,
-                      predict::UpdateMode mode,
-                      const obs::ProgressFn &progress);
-    std::vector<predict::SuiteResult>
-    evaluateBatched(const std::vector<trace::SharingTrace> &traces,
-                    const std::vector<predict::SchemeSpec> &schemes,
-                    predict::UpdateMode mode,
-                    const obs::ProgressFn &progress);
+                      predict::UpdateMode mode, const SweepTask &task,
+                      std::vector<predict::SuiteResult> &results) const;
 
     ThreadPool pool_;
     SweepKernel kernel_;
-    /** Workers pinned round-robin across these nodes (empty on
-     *  single-node hosts: no pinning installed). */
-    std::size_t numaNodesUsed_ = 0;
 };
 
 } // namespace ccp::sweep

@@ -12,7 +12,6 @@
 #include "common/fault.hh"
 #include "common/logging.hh"
 #include "common/mem_budget.hh"
-#include "common/thread_pool.hh"
 #include "obs/registry.hh"
 #include "obs/trace.hh"
 #include "sweep/batch.hh"
@@ -22,7 +21,6 @@
 
 namespace ccp::sweep {
 
-using predict::Confusion;
 using predict::SchemeSpec;
 using predict::SuiteResult;
 using predict::UpdateMode;
@@ -90,60 +88,6 @@ class SignalGuard
     struct sigaction oldInt_ = {};
     struct sigaction oldTerm_ = {};
 };
-
-// ---------------------------------------------------------------------
-// Task plan
-
-/** One unit of isolated work: a contiguous scheme range.  The plan is
- *  computed over the FULL scheme list (deterministic in the scheme
- *  list and budget alone), then tasks are individually skipped when
- *  resumed or over budget, so the plan — and therefore results and
- *  checkpoints — never depends on thread count or interleaving. */
-struct Task
-{
-    std::size_t first = 0;
-    std::size_t last = 0;
-    /** Position in the full plan (fault-injection ordinal). */
-    std::size_t ordinal = 0;
-    std::uint64_t stateBytes = 0;
-};
-
-std::vector<Task>
-planTasks(const std::vector<SchemeSpec> &schemes, unsigned n_nodes,
-          SweepKernel kernel, const MemBudget &budget)
-{
-    std::vector<Task> tasks;
-    if (kernel == SweepKernel::Reference) {
-        // Scheme-major oracle: one scheme per task, as ParallelSweep
-        // dispatches it.
-        tasks.reserve(schemes.size());
-        for (std::size_t i = 0; i < schemes.size(); ++i)
-            tasks.push_back(
-                {i, i + 1, i,
-                 std::uint64_t(schemeStateWords(schemes[i], n_nodes)) *
-                     8});
-        return tasks;
-    }
-    // Event-major batches, additionally capped so one batch fits the
-    // memory budget (planBatches still gives a lone oversized scheme
-    // its own batch — admission skips it below).
-    std::size_t max_words = std::size_t(4) << 20;
-    if (!budget.unlimited())
-        max_words = std::max<std::size_t>(
-            1, std::min<std::uint64_t>(max_words,
-                                       budget.totalBytes() / 8));
-    auto ranges = planBatches(schemes, n_nodes, max_words);
-    tasks.reserve(ranges.size());
-    for (std::size_t b = 0; b < ranges.size(); ++b) {
-        Task t{ranges[b].first, ranges[b].second, b, 0};
-        for (std::size_t i = t.first; i < t.last; ++i)
-            t.stateBytes +=
-                std::uint64_t(schemeStateWords(schemes[i], n_nodes)) *
-                8;
-        tasks.push_back(t);
-    }
-    return tasks;
-}
 
 } // namespace
 
@@ -248,47 +192,61 @@ ResilientRunner::evaluate(const std::vector<trace::SharingTrace> &traces,
         }
     }
 
+    // Batched tasks are additionally capped so one batch fits the
+    // memory budget (planBatches still gives a lone oversized scheme
+    // its own batch — admission skips it below).
     const MemBudget budget(opts_.memBudgetBytes);
-    auto plan = planTasks(schemes, n_nodes, opts_.kernel, budget);
+    std::size_t max_words = defaultBatchStateWords;
+    if (!budget.unlimited())
+        max_words = std::max<std::size_t>(
+            1, std::min<std::uint64_t>(max_words,
+                                       budget.totalBytes() / 8));
+    ParallelSweep sweep(opts_.threads, opts_.kernel);
+    const auto plan = sweep.plan(schemes, n_nodes, max_words);
+    auto stateBytes = [&](std::size_t i) {
+        return std::uint64_t(schemeStateWords(schemes[i], n_nodes)) * 8;
+    };
 
     // Classify every task exactly once, in plan order, on this
     // thread: resumed, skipped over budget, or pending evaluation.
-    // Only fully-checkpointed tasks resume; a partially covered batch
-    // re-runs whole (its recomputed entries are bit-identical).
-    std::vector<Task> pending;
+    // The plan covers the FULL scheme list, so it — and therefore
+    // results and checkpoints — never depends on what a previous run
+    // completed.  Only fully-checkpointed tasks resume; a partially
+    // covered batch re-runs whole (its recomputed entries are
+    // bit-identical).
+    std::vector<SweepTask> pending;
     std::size_t initial_done = 0;
-    for (const Task &t : plan) {
+    for (const SweepTask &t : plan) {
         bool all_resumed = true;
         for (std::size_t i = t.first; i < t.last; ++i)
             all_resumed = all_resumed && resumed[i];
         if (all_resumed) {
             for (std::size_t i = t.first; i < t.last; ++i)
                 outcome.completed[i] = 1;
-            outcome.schemesResumed += t.last - t.first;
-            initial_done += t.last - t.first;
+            outcome.schemesResumed += t.size();
+            initial_done += t.size();
             ++parent.counter("sweep.batches_resumed");
             continue;
         }
-        if (!budget.admit(t.ordinal, t.stateBytes)) {
+        std::uint64_t task_bytes = 0;
+        for (std::size_t i = t.first; i < t.last; ++i)
+            task_bytes += stateBytes(i);
+        if (!budget.admit(t.ordinal, task_bytes)) {
             for (std::size_t i = t.first; i < t.last; ++i) {
                 outcome.failures.push_back(
                     {i, formatScheme(schemes[i]),
                      FailureKind::MemBudget,
-                     "predictor state " +
-                         formatByteSize(
-                             std::uint64_t(schemeStateWords(
-                                 schemes[i], n_nodes)) *
-                             8) +
+                     "predictor state " + formatByteSize(stateBytes(i)) +
                          " exceeds --mem-budget " +
                          formatByteSize(budget.totalBytes()),
                      0});
                 ++parent.counter("sweep.schemes_skipped_mem");
             }
-            ccp_warn("skipping ", t.last - t.first,
+            ccp_warn("skipping ", t.size(),
                      " scheme(s) over the memory budget (batch needs ",
-                     formatByteSize(t.stateBytes), ", budget ",
+                     formatByteSize(task_bytes), ", budget ",
                      formatByteSize(budget.totalBytes()), ")");
-            initial_done += t.last - t.first;
+            initial_done += t.size();
             continue;
         }
         pending.push_back(t);
@@ -320,24 +278,6 @@ ResilientRunner::evaluate(const std::vector<trace::SharingTrace> &traces,
     g_drain_requested.store(0);
     SignalGuard guard(opts_.handleSignals);
 
-    ThreadPool pool(opts_.threads);
-    std::vector<obs::StatsRegistry> shards(pool.threads());
-
-    obs::ProgressMeter meter(schemes.size(), outcome.schemesResumed);
-    std::atomic<std::size_t> terminal{initial_done};
-    std::mutex progress_mutex;
-    auto tick = [&](std::size_t count) {
-        std::size_t now = terminal.fetch_add(count) + count;
-        if (progress) {
-            std::lock_guard<std::mutex> lock(progress_mutex);
-            progress(meter.tick(now));
-        }
-    };
-    if (progress && initial_done > 0) {
-        std::lock_guard<std::mutex> lock(progress_mutex);
-        progress(meter.tick(initial_done));
-    }
-
     // Guards `done`, `outcome.failures`, and checkpoint writes.
     std::mutex state_mutex;
     obs::Stopwatch since_checkpoint;
@@ -368,140 +308,92 @@ ResilientRunner::evaluate(const std::vector<trace::SharingTrace> &traces,
         writeCheckpointLocked();
     }
 
-    pool.forEach(
-        pending.size(),
-        [&](std::size_t job, unsigned worker) {
-            const Task &task = pending[job];
-            obs::StatsRegistry &shard = shards[worker];
-            obs::ScopedRegistry route(shard);
+    // The runner's per-task policy around ParallelSweep's kernel
+    // dispatch; stats land in the worker's shard (current()).
+    auto policy = [&](const SweepTask &task,
+                      const ParallelSweep::TaskEval &eval) {
+        if (fault::enabled() &&
+            fault::fireAt("sweep.interrupt_at", task.ordinal))
+            requestInterrupt();
+        if (interruptRequested())
+            return false; // drain: leave unstarted tasks incomplete
 
-            if (fault::enabled() &&
-                fault::fireAt("sweep.interrupt_at", task.ordinal))
-                requestInterrupt();
-            if (interruptRequested())
-                return; // drain: leave unstarted tasks incomplete
-
-            const std::size_t count = task.last - task.first;
-            std::vector<SuiteResult> task_results;
-            std::string error;
-            unsigned attempts = 0;
-            obs::Stopwatch batch_watch;
-            for (unsigned attempt = 0; attempt <= opts_.maxRetries;
-                 ++attempt) {
-                ++attempts;
-                try {
-                    if (attempt == 0 && fault::enabled() &&
-                        fault::fireAt("sweep.worker_throw",
-                                      task.ordinal))
-                        throw std::runtime_error(
-                            "injected worker fault");
-                    CCP_TRACE_SPAN_N("sweep", "sweep.batch", count);
-                    obs::ScopedTimer timer(
-                        shard, "sweep.batch_eval_seconds");
-                    obs::Stopwatch lat;
-                    if (opts_.kernel != SweepKernel::Reference) {
-                        BatchEvaluator batch(
-                            {schemes.begin() +
-                                 static_cast<std::ptrdiff_t>(
-                                     task.first),
-                             schemes.begin() +
-                                 static_cast<std::ptrdiff_t>(
-                                     task.last)},
-                            n_nodes,
-                            opts_.kernel == SweepKernel::Simd
-                                ? BatchEngine::Simd
-                                : BatchEngine::Scalar);
-                        task_results =
-                            batch.evaluateSuite(traces, mode);
-                    } else {
-                        task_results.clear();
-                        for (std::size_t i = task.first;
-                             i < task.last; ++i)
-                            task_results.push_back(evaluateSuite(
-                                traces, schemes[i], mode));
-                    }
-                    shard.latency("sweep.batch_latency_ns")
-                        .add(std::uint64_t(lat.elapsedSec() * 1e9));
-                    error.clear();
-                    break;
-                } catch (const std::exception &e) {
-                    error = e.what();
-                } catch (...) {
-                    error = "unknown exception";
-                }
-                if (attempt < opts_.maxRetries) {
-                    ++shard.counter("sweep.batches_retried");
-                    ccp_warn("batch ", task.ordinal, " failed (",
-                             error, "); retrying");
-                    double backoff = opts_.retryBackoffSec *
-                                     double(1u << attempt);
-                    if (backoff > 0)
-                        std::this_thread::sleep_for(
-                            std::chrono::duration<double>(backoff));
-                }
+        obs::StatsRegistry &stats = obs::StatsRegistry::current();
+        std::string error;
+        unsigned attempts = 0;
+        obs::Stopwatch batch_watch;
+        for (unsigned attempt = 0; attempt <= opts_.maxRetries;
+             ++attempt) {
+            ++attempts;
+            try {
+                if (attempt == 0 && fault::enabled() &&
+                    fault::fireAt("sweep.worker_throw", task.ordinal))
+                    throw std::runtime_error("injected worker fault");
+                eval();
+                error.clear();
+                break;
+            } catch (const std::exception &e) {
+                error = e.what();
+            } catch (...) {
+                error = "unknown exception";
             }
-
-            if (!error.empty()) {
-                // Final failure: contained — record and move on,
-                // siblings unaffected.
-                ++shard.counter("sweep.batches_failed");
-                std::lock_guard<std::mutex> lock(state_mutex);
-                for (std::size_t i = task.first; i < task.last; ++i)
-                    outcome.failures.push_back(
-                        {i, formatScheme(schemes[i]),
-                         FailureKind::Exception, error, attempts});
-                tick(count);
-                return;
+            if (attempt < opts_.maxRetries) {
+                ++stats.counter("sweep.batches_retried");
+                ccp_warn("batch ", task.ordinal, " failed (", error,
+                         "); retrying");
+                double backoff =
+                    opts_.retryBackoffSec * double(1u << attempt);
+                if (backoff > 0)
+                    std::this_thread::sleep_for(
+                        std::chrono::duration<double>(backoff));
             }
+        }
 
-            const double batch_sec = batch_watch.elapsedSec();
-            for (std::size_t i = 0; i < count; ++i)
-                outcome.results[task.first + i] =
-                    std::move(task_results[i]);
+        const double batch_sec = batch_watch.elapsedSec();
+        std::lock_guard<std::mutex> lock(state_mutex);
+        if (!error.empty()) {
+            // Final failure: contained — record and move on, siblings
+            // unaffected.
+            ++stats.counter("sweep.batches_failed");
             for (std::size_t i = task.first; i < task.last; ++i)
-                outcome.completed[i] = 1;
-            ++shard.counter("sweep.batches_evaluated");
-            shard.counter("sweep.schemes_evaluated") += count;
+                outcome.failures.push_back({i, formatScheme(schemes[i]),
+                                            FailureKind::Exception,
+                                            error, attempts});
+            return true;
+        }
 
-            {
-                std::lock_guard<std::mutex> lock(state_mutex);
-                if (opts_.batchDeadlineSec > 0 &&
-                    batch_sec > opts_.batchDeadlineSec) {
-                    // Advisory: results are kept, the overrun is
-                    // reported (a running batch is never preempted).
-                    ++shard.counter("sweep.batches_overdeadline");
-                    outcome.failures.push_back(
-                        {task.first, formatScheme(schemes[task.first]),
-                         FailureKind::Deadline,
-                         "batch of " + std::to_string(count) +
-                             " scheme(s) took " +
-                             obs::formatDuration(batch_sec) +
-                             " (deadline " +
-                             obs::formatDuration(
-                                 opts_.batchDeadlineSec) +
-                             "); results kept",
-                         attempts});
-                }
-                for (std::size_t i = task.first; i < task.last; ++i) {
-                    CheckpointEntry e;
-                    e.schemeIndex = i;
-                    e.perTrace.reserve(traces.size());
-                    for (const auto &tr : outcome.results[i].perTrace)
-                        e.perTrace.push_back(tr.confusion);
-                    done.push_back(std::move(e));
-                }
-                if (checkpointing &&
-                    (opts_.checkpointIntervalSec <= 0 ||
-                     since_checkpoint.elapsedSec() >=
-                         opts_.checkpointIntervalSec))
-                    writeCheckpointLocked();
-            }
-            tick(count);
-        },
-        1);
-
-    for (const auto &shard : shards)
-        parent.merge(shard);
+        if (opts_.batchDeadlineSec > 0 &&
+            batch_sec > opts_.batchDeadlineSec) {
+            // Advisory: results are kept, the overrun is reported (a
+            // running batch is never preempted).
+            ++stats.counter("sweep.batches_overdeadline");
+            outcome.failures.push_back(
+                {task.first, formatScheme(schemes[task.first]),
+                 FailureKind::Deadline,
+                 "batch of " + std::to_string(task.size()) +
+                     " scheme(s) took " +
+                     obs::formatDuration(batch_sec) + " (deadline " +
+                     obs::formatDuration(opts_.batchDeadlineSec) +
+                     "); results kept",
+                 attempts});
+        }
+        for (std::size_t i = task.first; i < task.last; ++i) {
+            outcome.completed[i] = 1;
+            CheckpointEntry e;
+            e.schemeIndex = i;
+            e.perTrace.reserve(traces.size());
+            for (const auto &tr : outcome.results[i].perTrace)
+                e.perTrace.push_back(tr.confusion);
+            done.push_back(std::move(e));
+        }
+        if (checkpointing && (opts_.checkpointIntervalSec <= 0 ||
+                              since_checkpoint.elapsedSec() >=
+                                  opts_.checkpointIntervalSec))
+            writeCheckpointLocked();
+        return true;
+    };
+    sweep.run(traces, schemes, mode, pending, outcome.results, progress,
+              policy, initial_done, outcome.schemesResumed);
 
     outcome.interrupted = interruptRequested();
     if (outcome.interrupted) {

@@ -5,9 +5,10 @@
  * ParallelSweep (sweep/parallel.hh) is fast but brittle at scale: a
  * single worker exception aborts the whole sweep, an oversized scheme
  * OOM-kills the process, and Ctrl-C discards hours of completed
- * evaluations.  This runner wraps the same kernels (BatchEvaluator /
- * reference Evaluator) with the recovery machinery a production-scale
- * design-space study needs:
+ * evaluations.  This runner drives ParallelSweep's own task loop
+ * (ParallelSweep::run: its plan, NUMA-pinned pool, kernel dispatch and
+ * stats shards) and wraps each task in the recovery machinery a
+ * production-scale design-space study needs:
  *
  *  - Checkpoint/resume: completed batches are persisted to an atomic,
  *    checksummed checkpoint (sweep/checkpoint.hh) keyed on the trace
@@ -36,12 +37,12 @@
  * Every recovery path is exercised by deterministic fault injection
  * (common/fault.hh): see docs/RESILIENCE.md for the point catalogue.
  *
- * Counters (through the ambient StatsRegistry, shard-merged exactly
- * like ParallelSweep): sweep.checkpoints_written,
- * sweep.checkpoints_rejected, sweep.batches_resumed,
- * sweep.schemes_resumed, sweep.batches_failed, sweep.batches_retried,
- * sweep.batches_overdeadline, sweep.schemes_skipped_mem,
- * sweep.interrupted.
+ * Counters (through the ambient StatsRegistry, shard-merged by the
+ * shared task loop, on top of the kernel's sweep.* stats):
+ * sweep.checkpoints_written, sweep.checkpoints_rejected,
+ * sweep.batches_resumed, sweep.schemes_resumed, sweep.batches_failed,
+ * sweep.batches_retried, sweep.batches_overdeadline,
+ * sweep.schemes_skipped_mem, sweep.interrupted.
  */
 
 #ifndef CCP_SWEEP_RUNNER_HH

@@ -177,25 +177,65 @@ TEST_F(RunnerTest, MatchesParallelSweepAtAnyThreadCountAndKernel)
     auto schemes = smallSpace();
     ASSERT_GE(schemes.size(), 20u);
 
+    // Both engines run the same task loop, so they also record the
+    // same per-kernel sweep stats.
+    auto summaryCount = [](const obs::StatsRegistry &reg,
+                           const std::string &path) -> std::uint64_t {
+        const auto *s = reg.findSummary(path);
+        return s ? s->count() : 0;
+    };
+
     for (auto kernel :
          {SweepKernel::Batched, SweepKernel::Reference}) {
-        auto baseline = sweep::ParallelSweep(1, kernel)
-                            .evaluate(suite, schemes,
-                                      UpdateMode::Forwarded);
+        obs::StatsRegistry base_stats;
+        std::vector<SuiteResult> baseline;
+        {
+            obs::ScopedRegistry route(base_stats);
+            baseline = sweep::ParallelSweep(1, kernel).evaluate(
+                suite, schemes, UpdateMode::Forwarded);
+        }
         for (unsigned threads : {1u, 4u}) {
+            const std::string what =
+                std::string(sweepKernelName(kernel)) + " @" +
+                std::to_string(threads);
             RunnerOptions opts;
             opts.threads = threads;
             opts.kernel = kernel;
             opts.handleSignals = false;
-            auto outcome = ResilientRunner(opts).evaluate(
-                suite, schemes, UpdateMode::Forwarded);
+            obs::StatsRegistry stats;
+            ResilientOutcome outcome;
+            {
+                obs::ScopedRegistry route(stats);
+                outcome = ResilientRunner(opts).evaluate(
+                    suite, schemes, UpdateMode::Forwarded);
+            }
             EXPECT_TRUE(outcome.allCompleted());
             EXPECT_FALSE(outcome.interrupted);
             EXPECT_EQ(outcome.exitCode(), 0);
             EXPECT_TRUE(outcome.failures.empty());
-            expectSameResults(outcome.results, baseline,
-                              std::string(sweepKernelName(kernel)) +
-                                  " @" + std::to_string(threads));
+            expectSameResults(outcome.results, baseline, what);
+
+            EXPECT_EQ(counterOf(stats, "sweep.schemes_evaluated"),
+                      schemes.size())
+                << what;
+            for (const char *counter : {"sweep.schemes_evaluated",
+                                        "sweep.batches_evaluated"}) {
+                EXPECT_EQ(counterOf(stats, counter),
+                          counterOf(base_stats, counter))
+                    << what << " " << counter;
+            }
+            for (const char *summary : {"sweep.scheme_eval_seconds",
+                                        "sweep.batch_eval_seconds"}) {
+                EXPECT_EQ(summaryCount(stats, summary),
+                          summaryCount(base_stats, summary))
+                    << what << " " << summary;
+            }
+            if (kernel == SweepKernel::Reference) {
+                EXPECT_EQ(
+                    summaryCount(stats, "sweep.scheme_eval_seconds"),
+                    schemes.size())
+                    << what;
+            }
         }
     }
 }

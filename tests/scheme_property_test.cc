@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <unordered_map>
 
 #include "common/rng.hh"
@@ -45,6 +46,18 @@ struct SweepCase
     const char *scheme;
     UpdateMode mode;
 };
+
+/**
+ * Print a case as its scheme notation and update mode, e.g.
+ * "last(pid+pc8)1 forwarded". This text names the case's ctest; the
+ * default byte dump of the struct would carry the pointer member,
+ * which differs from build to build.
+ */
+void
+PrintTo(const SweepCase &c, std::ostream *os)
+{
+    *os << c.scheme << ' ' << predict::updateModeName(c.mode);
+}
 
 class SchemePropertyTest : public ::testing::TestWithParam<SweepCase>
 {

@@ -493,10 +493,17 @@ TEST(PredictServer, StatsAreMonotoneWhileServing)
 class ServerSnapshotTest : public ::testing::Test
 {
   protected:
+    /** One file per test: ctest runs cases as concurrent processes,
+     *  and a shared path would let one case remove another's
+     *  snapshot mid-run. */
     std::string
     snapPath() const
     {
-        return ::testing::TempDir() + "serve_snapshot.ccps";
+        return ::testing::TempDir() + "serve_snapshot_" +
+               ::testing::UnitTest::GetInstance()
+                   ->current_test_info()
+                   ->name() +
+               ".ccps";
     }
 
     std::vector<char>
