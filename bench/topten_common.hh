@@ -24,8 +24,10 @@ paperSpace()
     // The paper explores implementations up to 2^24 bits.  PAs
     // schemes are swept on a coarser grid (they are uniformly
     // dominated — Section 5.4.1 finds no two-level scheme in any
-    // top-10 — and cost ~20x more to simulate); set CCP_FULL_PAS=1
-    // to widen.
+    // top-10); set CCP_FULL_PAS=1 to widen.  With plane-major state
+    // a PAs scheme costs 2-3x a window scheme per event in the
+    // batched kernel (15x before), but the default grid stays as it
+    // is: perfbench pins this scheme list by hash.
     if (std::getenv("CCP_FULL_PAS")) {
         space.pasDepths = {1, 2, 4};
     } else {
@@ -33,9 +35,9 @@ paperSpace()
     }
     // The learned family rides the same sweep so perceptron schemes
     // rank head-to-head against the paper's; the default grid is kept
-    // coarse for the same cost reason as PAs (the per-node training
-    // loop is the expensive part).  CCP_FULL_PERC=1 widens every
-    // perceptron dimension.
+    // coarse like the PAs one (a plane-major perceptron scheme costs
+    // 2-3x a window scheme per event, 20x before).
+    // CCP_FULL_PERC=1 widens every perceptron dimension.
     if (std::getenv("CCP_FULL_PERC")) {
         space.percDepths = {1, 2, 4, 8};
         space.percWeightBits = {4, 5, 6, 8};

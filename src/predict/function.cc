@@ -73,7 +73,8 @@ WindowFunction::update(std::uint64_t *state, SharingBitmap feedback) const
 PAsFunction::PAsFunction(unsigned depth, unsigned n_nodes)
     : depth_(depth), nNodes_(n_nodes)
 {
-    ccp_assert(depth >= 1 && depth <= 8, "bad PAs depth ", depth);
+    ccp_assert(depth >= 1 && depth <= maxLearnedDepth, "bad PAs depth ",
+               depth);
     ccp_assert(n_nodes >= 1 && n_nodes <= maxNodes, "bad node count");
     historyWords_ = (std::size_t(nNodes_) * depth_ + 63) / 64;
     std::size_t counter_bits = std::size_t(nNodes_) * (1u << depth_) * 2;
@@ -86,83 +87,6 @@ PAsFunction::entryBits(unsigned n_nodes) const
     // Per node: a depth-bit history register plus 2^depth 2-bit
     // counters (the paper counts both).
     return std::uint64_t(n_nodes) * (depth_ + 2ull * (1u << depth_));
-}
-
-unsigned
-PAsFunction::historyOf(const std::uint64_t *state, unsigned node) const
-{
-    std::size_t bit = std::size_t(node) * depth_;
-    std::size_t word = bit / 64, off = bit % 64;
-    std::uint64_t v = state[word] >> off;
-    if (off + depth_ > 64)
-        v |= state[word + 1] << (64 - off);
-    return static_cast<unsigned>(v & ((1u << depth_) - 1));
-}
-
-void
-PAsFunction::setHistory(std::uint64_t *state, unsigned node,
-                        unsigned value) const
-{
-    std::size_t bit = std::size_t(node) * depth_;
-    std::size_t word = bit / 64, off = bit % 64;
-    std::uint64_t mask = std::uint64_t((1u << depth_) - 1);
-
-    state[word] = (state[word] & ~(mask << off)) |
-                  (std::uint64_t(value) << off);
-    if (off + depth_ > 64) {
-        unsigned spill = static_cast<unsigned>(off + depth_ - 64);
-        std::uint64_t hi_mask = (std::uint64_t(1) << spill) - 1;
-        state[word + 1] = (state[word + 1] & ~hi_mask) |
-                          (std::uint64_t(value) >> (depth_ - spill));
-    }
-}
-
-unsigned
-PAsFunction::counterOf(const std::uint64_t *state, unsigned node,
-                       unsigned pattern) const
-{
-    std::size_t bit = (std::size_t(node) * (1u << depth_) + pattern) * 2;
-    std::size_t word = historyWords_ + bit / 64, off = bit % 64;
-    return static_cast<unsigned>((state[word] >> off) & 3);
-}
-
-void
-PAsFunction::setCounter(std::uint64_t *state, unsigned node,
-                        unsigned pattern, unsigned value) const
-{
-    std::size_t bit = (std::size_t(node) * (1u << depth_) + pattern) * 2;
-    std::size_t word = historyWords_ + bit / 64, off = bit % 64;
-    state[word] = (state[word] & ~(std::uint64_t(3) << off)) |
-                  (std::uint64_t(value & 3) << off);
-}
-
-SharingBitmap
-PAsFunction::predict(const std::uint64_t *state) const
-{
-    SharingBitmap pred;
-    for (unsigned n = 0; n < nNodes_; ++n) {
-        unsigned hist = historyOf(state, n);
-        if (counterOf(state, n, hist) >= 2)
-            pred.set(n);
-    }
-    return pred;
-}
-
-void
-PAsFunction::update(std::uint64_t *state, SharingBitmap feedback) const
-{
-    for (unsigned n = 0; n < nNodes_; ++n) {
-        bool read = feedback.test(n);
-        unsigned hist = historyOf(state, n);
-        unsigned ctr = counterOf(state, n, hist);
-        if (read && ctr < 3)
-            ++ctr;
-        else if (!read && ctr > 0)
-            --ctr;
-        setCounter(state, n, hist, ctr);
-        unsigned mask = (1u << depth_) - 1;
-        setHistory(state, n, ((hist << 1) | (read ? 1u : 0u)) & mask);
-    }
 }
 
 std::uint64_t
@@ -196,8 +120,8 @@ PerceptronFunction::PerceptronFunction(unsigned depth,
                                        const PerceptronParams &params)
     : depth_(depth), nNodes_(n_nodes), params_(params)
 {
-    ccp_assert(depth >= 1 && depth <= 8, "bad perceptron depth ",
-               depth);
+    ccp_assert(depth >= 1 && depth <= maxLearnedDepth,
+               "bad perceptron depth ", depth);
     ccp_assert(n_nodes >= 1 && n_nodes <= maxNodes, "bad node count");
     ccp_assert(params.weightBits >= 2 && params.weightBits <= 8,
                "bad perceptron weight width ", params.weightBits);
@@ -209,6 +133,9 @@ PerceptronFunction::PerceptronFunction(unsigned depth,
 
     weightMax_ = (1 << (params.weightBits - 1)) - 1;
     weightMin_ = -(1 << (params.weightBits - 1));
+    // |dot| <= (depth + 1) * 2^(weightBits-1): int8 lanes when that
+    // fits (and so does every negated weight), else int16.
+    narrow_ = (depth_ + 1) * (1 << (params.weightBits - 1)) <= 127;
     historyWords_ = (std::size_t(nNodes_) * depth_ + 63) / 64;
     // One int8 lane per weight keeps the packed state byte-addressable
     // at every weight width; clamping enforces the narrower range.
@@ -263,51 +190,19 @@ PerceptronFunction::entryBits(unsigned n_nodes) const
     return std::uint64_t(n_nodes) * per_node + bloom;
 }
 
-unsigned
-PerceptronFunction::historyOf(const std::uint64_t *state,
-                              unsigned node) const
-{
-    std::size_t bit = std::size_t(node) * depth_;
-    std::size_t word = bit / 64, off = bit % 64;
-    std::uint64_t v = state[word] >> off;
-    if (off + depth_ > 64)
-        v |= state[word + 1] << (64 - off);
-    return static_cast<unsigned>(v & ((1u << depth_) - 1));
-}
-
-void
-PerceptronFunction::setHistory(std::uint64_t *state, unsigned node,
-                               unsigned value) const
-{
-    std::size_t bit = std::size_t(node) * depth_;
-    std::size_t word = bit / 64, off = bit % 64;
-    std::uint64_t mask = std::uint64_t((1u << depth_) - 1);
-
-    state[word] = (state[word] & ~(mask << off)) |
-                  (std::uint64_t(value) << off);
-    if (off + depth_ > 64) {
-        unsigned spill = static_cast<unsigned>(off + depth_ - 64);
-        std::uint64_t hi_mask = (std::uint64_t(1) << spill) - 1;
-        state[word + 1] = (state[word + 1] & ~hi_mask) |
-                          (std::uint64_t(value) >> (depth_ - spill));
-    }
-}
-
-int
-PerceptronFunction::dotAt(const std::uint64_t *, const std::int8_t *w,
-                          unsigned hist) const
-{
-    int acc = w[0];
-    for (unsigned i = 0; i < depth_; ++i)
-        acc += ((hist >> i) & 1u) ? w[1 + i] : -w[1 + i];
-    return acc;
-}
-
 int
 PerceptronFunction::dot(const std::uint64_t *state, unsigned node) const
 {
-    return dotAt(state, weightsOf(state, node),
-                 historyOf(state, node));
+    const auto *w =
+        reinterpret_cast<const unsigned char *>(state + historyWords_);
+    int acc = static_cast<std::int8_t>(w[node]);
+    for (unsigned i = 0; i < depth_; ++i) {
+        const int wi = static_cast<std::int8_t>(
+            w[std::size_t(i + 1) * nNodes_ + node]);
+        const bool h = (planes::load(state, i, nNodes_) >> node) & 1;
+        acc += h ? wi : -wi;
+    }
+    return acc;
 }
 
 double
@@ -349,57 +244,6 @@ PerceptronFunction::bloomInsert(std::uint64_t *state,
     word |= bloomMaskOf_[node];
     state[bloomWord_] =
         (word & 0xffffffffull) | ((count + 1) << 32);
-}
-
-SharingBitmap
-PerceptronFunction::predict(const std::uint64_t *state) const
-{
-    SharingBitmap pred;
-    const int theta = static_cast<int>(params_.theta);
-    for (unsigned n = 0; n < nNodes_; ++n) {
-        if (dot(state, n) >= theta && !bloomSuppressed(state, n))
-            pred.set(n);
-    }
-    return pred;
-}
-
-void
-PerceptronFunction::update(std::uint64_t *state,
-                           SharingBitmap feedback) const
-{
-    const int theta = static_cast<int>(params_.theta);
-    const unsigned hist_mask = (1u << depth_) - 1;
-    for (unsigned n = 0; n < nNodes_; ++n) {
-        const bool read = feedback.test(n);
-        const unsigned hist = historyOf(state, n);
-        std::int8_t *w = weightsOf(state, n);
-        const int acc = dotAt(state, w, hist);
-        // The trainer sees the raw perceptron decision; the Bloom
-        // filter only gates emitted predictions.
-        const bool predicted = acc >= theta;
-
-        if (params_.bloomBits > 0 && predicted && !read)
-            bloomInsert(state, n); // a would-be false positive: dead
-
-        // Train on a mispredict or a low-confidence hit, clamped to
-        // the architected signed range.
-        if (predicted != read || (acc <= theta && acc >= -theta)) {
-            const int t = read ? 1 : -1;
-            auto clamped = [&](int v) {
-                return static_cast<std::int8_t>(
-                    v > weightMax_   ? weightMax_
-                    : v < weightMin_ ? weightMin_
-                                     : v);
-            };
-            w[0] = clamped(w[0] + t);
-            for (unsigned i = 0; i < depth_; ++i) {
-                const int dir = ((hist >> i) & 1u) ? t : -t;
-                w[1 + i] = clamped(w[1 + i] + dir);
-            }
-        }
-        setHistory(state, n, ((hist << 1) | (read ? 1u : 0u)) &
-                                 hist_mask);
-    }
 }
 
 std::unique_ptr<PredictionFunction>

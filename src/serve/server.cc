@@ -91,13 +91,33 @@ PredictServer::snapshotKey() const
     return h.digest();
 }
 
+std::uint32_t
+PredictServer::snapshotFeatures() const
+{
+    // Perceptron state carries its bit, so pre-perceptron binaries
+    // reject it with structure instead of decoding foreign weight
+    // words; PAs and perceptron state carry the plane-major bit, so
+    // binaries on either side of that layout change refuse each
+    // other's snapshots.
+    switch (opts_.session.scheme.kind) {
+      case predict::FunctionKind::Perceptron:
+        return sweep::stateBlobFeaturePerceptron |
+               sweep::stateBlobFeaturePlaneMajor;
+      case predict::FunctionKind::PAs:
+        return sweep::stateBlobFeaturePlaneMajor;
+      default:
+        return 0;
+    }
+}
+
 sweep::CheckpointLoad
 PredictServer::restore()
 {
     ccp_assert(!running_, "restore() must precede start()");
     std::vector<char> payload;
-    auto status = sweep::loadStateBlob(opts_.snapshotPath,
-                                       snapshotKey(), payload);
+    auto status = sweep::loadStateBlob(
+        opts_.snapshotPath, snapshotKey(), payload,
+        sweep::stateBlobSupportedFeatures, snapshotFeatures());
     if (status != sweep::CheckpointLoad::Ok)
         return status;
 
@@ -317,15 +337,8 @@ PredictServer::snapshotNow()
         shard.session.encode(payload);
     }
 
-    // A snapshot holding perceptron state carries the feature bit,
-    // so pre-perceptron binaries reject it with structure instead of
-    // decoding foreign weight words.
-    const std::uint32_t features =
-        opts_.session.scheme.kind == predict::FunctionKind::Perceptron
-            ? sweep::stateBlobFeaturePerceptron
-            : 0;
     const bool ok = sweep::saveStateBlob(
-        opts_.snapshotPath, snapshotKey(), payload, features);
+        opts_.snapshotPath, snapshotKey(), payload, snapshotFeatures());
     auto &reg = obs::StatsRegistry::current();
     if (ok)
         ++reg.counter("serve.snapshots");

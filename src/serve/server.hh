@@ -97,7 +97,9 @@ class PredictServer
     /**
      * Restore every session from the snapshot at snapshotPath.  Must
      * be called before start().  Missing is a fresh start, not an
-     * error; Invalid / KeyMismatch leave the sessions untouched.
+     * error; Invalid / KeyMismatch / UnsupportedKind (a learned-family
+     * snapshot without the plane-major feature bit) leave the
+     * sessions untouched.
      */
     sweep::CheckpointLoad restore();
 
@@ -150,6 +152,11 @@ class PredictServer
     /** Identity hash of this server's snapshot layout (scheme, mode,
      *  nodes, session count, window) — the CCPS key. */
     std::uint64_t snapshotKey() const;
+
+    /** CCPS feature bits of this server's snapshots: the perceptron
+     *  and plane-major bits for the learned families, else none.
+     *  restore() refuses a snapshot lacking any of them. */
+    std::uint32_t snapshotFeatures() const;
 
   private:
     /** Ingest ring payload: the event plus its enqueue timestamp so

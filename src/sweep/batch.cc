@@ -405,9 +405,11 @@ BatchEvaluator::runTrace(const trace::SharingTrace &trace,
         // Address pass: resolve (and prefetch) every scheme's entry
         // before any is touched, so the per-scheme cache misses
         // overlap instead of serializing behind each other.  The
-        // update entry is the current writer's for direct and
-        // ordered, the dying version's writer's for forwarded (same
-        // dir/block, different identity fields).
+        // entry's last word is prefetched too: a perceptron entry
+        // spans two cache lines.  The update entry is the current
+        // writer's for direct and ordered, the dying version's
+        // writer's for forwarded (same dir/block, different identity
+        // fields).
         for (std::size_t i = 0; i < n_schemes; ++i) {
             const Compiled &c = compiled[i];
             std::uint64_t *const slice = state + c.base;
@@ -416,6 +418,7 @@ BatchEvaluator::runTrace(const trace::SharingTrace &trace,
                 c.plan.fromWords(pid, pcw, dir, block) * c.entryWords;
             ent[i] = entry;
             __builtin_prefetch(entry, 1);
+            __builtin_prefetch(entry + c.entryWords - 1, 1);
             if (mode == UpdateMode::Forwarded) {
                 std::uint64_t *upd =
                     has_prev ? slice + c.plan.fromWords(prev_pid,
@@ -497,6 +500,7 @@ BatchEvaluator::runTraceSimd(
                             c.entryWords;
             ent[k] = entry;
             __builtin_prefetch(entry, 1);
+            __builtin_prefetch(entry + c.entryWords - 1, 1);
             if (mode == UpdateMode::Forwarded) {
                 std::uint64_t *upd =
                     le.hasPrev
@@ -513,7 +517,8 @@ BatchEvaluator::runTraceSimd(
         if (n_groups)
             lane_run(groups, n_groups, lane_state, le, lane_scratch);
 
-        // Leftover and PAs schemes: the scalar per-scheme body.
+        // Leftover, PAs and perceptron schemes: the scalar
+        // per-scheme body.
         for (std::size_t k = 0; k < n_scalar; ++k) {
             Compiled &c = compiled[scalar_idx[k]];
             std::uint64_t *const entry = ent[k];

@@ -16,10 +16,13 @@
  *    precomputed offsets).
  *  - Index extraction is compiled once per scheme into a
  *    predict::IndexPlan — a fixed branch-free mask/shift pipeline.
- *  - Prediction functions are dispatched by a flat opcode (no virtual
- *    calls for the window families that dominate the design space;
- *    the window and overlap-last state transitions are inlined here
- *    with bit-identical semantics to predict/function.cc).
+ *  - Prediction functions are dispatched by a flat opcode, with no
+ *    virtual calls: the window and overlap-last state transitions are
+ *    inlined here with bit-identical semantics to
+ *    predict/function.cc, and the learned families (PAs, perceptron)
+ *    call the one PAsFunction / PerceptronFunction step through
+ *    qualified calls to their inline, plane-major bodies (all nodes
+ *    of an entry per word or vector operation).
  *  - Confusion accumulation is word-wise: three popcounts on the
  *    64-bit sharing bitmaps per (event, scheme) with true negatives
  *    recovered by conservation at the end of the trace, instead of
@@ -57,8 +60,8 @@ namespace ccp::sweep {
  *    (AVX2 when built + supported + not disabled via the
  *    CCP_SIMD_DISABLE environment override, portable u64 arrays
  *    otherwise); schemes that don't fill a lane group, and the PAs
- *    family, keep the scalar path.  Confusion counts are identical
- *    under either engine.
+ *    and perceptron families, keep the scalar path.  Confusion counts
+ *    are identical under either engine.
  */
 enum class BatchEngine : std::uint8_t
 {
@@ -159,7 +162,7 @@ class BatchEvaluator
         std::size_t entryWords = 0;
         /** Offset of this scheme's state slice in state_. */
         std::size_t base = 0;
-        /** Concrete function, PAs only (word layout lives there). */
+        /** Concrete function, PAs only (plane layout lives there). */
         std::shared_ptr<const predict::PAsFunction> pas;
         /** Concrete function, perceptron only (same reason). */
         std::shared_ptr<const predict::PerceptronFunction> perc;

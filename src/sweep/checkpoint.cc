@@ -490,7 +490,8 @@ saveStateBlob(const std::string &path, std::uint64_t key_hash,
 CheckpointLoad
 loadStateBlob(const std::string &path, std::uint64_t key_hash,
               std::vector<char> &payload,
-              std::uint32_t supported_features)
+              std::uint32_t supported_features,
+              std::uint32_t required_features)
 {
     payload.clear();
 
@@ -525,7 +526,8 @@ loadStateBlob(const std::string &path, std::uint64_t key_hash,
 
     // Intact blob; refuse features this caller cannot decode before
     // comparing keys, so the failure names its real cause.
-    if (header.features & ~supported_features)
+    if ((header.features & ~supported_features) ||
+        (required_features & ~header.features))
         return CheckpointLoad::UnsupportedKind;
 
     if (header.keyHash != key_hash)

@@ -172,7 +172,9 @@ enum class CheckpointLoad : std::uint8_t
     KeyMismatch,
     /** Intact container carrying extension function kinds (or blob
      *  features) this binary does not implement — written by a newer
-     *  binary; rejected with structure, never decoded blind. */
+     *  binary — or a blob missing a feature its state layout needs —
+     *  written by an older one; rejected with structure, never
+     *  decoded blind. */
     UnsupportedKind,
 };
 
@@ -248,10 +250,16 @@ static_assert(sizeof(StateBlobHeader) == 48,
 
 /** Blob feature bits (the CCPS analogue of extension kinds). */
 inline constexpr std::uint32_t stateBlobFeaturePerceptron = 1u << 0;
+/** The payload's PAs/perceptron entries are plane-major (bit n of a
+ *  plane word is node n; predict/function.hh).  Earlier binaries wrote
+ *  those entries node-major without any bit, so a learned-family blob
+ *  lacking it is refused rather than misread, and earlier binaries
+ *  refuse a blob carrying it. */
+inline constexpr std::uint32_t stateBlobFeaturePlaneMajor = 1u << 1;
 
 /** Every blob feature bit this binary can decode. */
 inline constexpr std::uint32_t stateBlobSupportedFeatures =
-    stateBlobFeaturePerceptron;
+    stateBlobFeaturePerceptron | stateBlobFeaturePlaneMajor;
 
 /**
  * Write @p payload as a CCPS blob with the same durability contract
@@ -267,13 +275,16 @@ bool saveStateBlob(const std::string &path, std::uint64_t key_hash,
  * Load and fully validate the CCPS blob at @p path.  On Ok,
  * @p payload holds the stored bytes; on any other status it is left
  * empty.  Size is bounded by the real file size before allocation.
- * A blob whose feature mask has bits outside @p supported_features is
- * rejected as UnsupportedKind before any key comparison.
+ * A blob whose feature mask has bits outside @p supported_features,
+ * or lacks any bit of @p required_features (its payload predates a
+ * layout the caller needs), is rejected as UnsupportedKind before any
+ * key comparison.
  */
 CheckpointLoad loadStateBlob(
     const std::string &path, std::uint64_t key_hash,
     std::vector<char> &payload,
-    std::uint32_t supported_features = stateBlobSupportedFeatures);
+    std::uint32_t supported_features = stateBlobSupportedFeatures,
+    std::uint32_t required_features = 0);
 
 } // namespace ccp::sweep
 

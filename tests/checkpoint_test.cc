@@ -26,6 +26,8 @@
 #include "trace/format.hh"
 #include "trace/trace.hh"
 
+#include "temp_path.hh"
+
 namespace {
 
 using namespace ccp;
@@ -111,7 +113,7 @@ someEntries(std::size_t n_traces)
 std::string
 tempPath(const char *name)
 {
-    return ::testing::TempDir() + name;
+    return testutil::tempPath(name);
 }
 
 std::vector<char>
@@ -806,6 +808,44 @@ TEST_F(CheckpointTest, StateBlobUnknownFeatureBitIsRejected)
     EXPECT_EQ(sweep::loadStateBlob(path, 0xabcd, loaded),
               CheckpointLoad::UnsupportedKind);
     EXPECT_TRUE(loaded.empty());
+}
+
+TEST_F(CheckpointTest, StateBlobMissingRequiredFeatureIsRejected)
+{
+    // A perceptron blob from before the plane-major layout carries only
+    // the perceptron bit: a caller that needs plane-major state refuses
+    // it (before the key compare), a caller that does not still loads
+    // it.
+    const std::string path = tempPath("blob-node-major.ccps");
+    ASSERT_TRUE(sweep::saveStateBlob(path, 0xabcd, someBlob(),
+                                     sweep::stateBlobFeaturePerceptron));
+    std::vector<char> loaded;
+    EXPECT_EQ(sweep::loadStateBlob(path, 0xabcd, loaded,
+                                   sweep::stateBlobSupportedFeatures,
+                                   sweep::stateBlobFeaturePlaneMajor),
+              CheckpointLoad::UnsupportedKind);
+    EXPECT_EQ(sweep::loadStateBlob(path, 0xffff, loaded,
+                                   sweep::stateBlobSupportedFeatures,
+                                   sweep::stateBlobFeaturePlaneMajor),
+              CheckpointLoad::UnsupportedKind);
+    EXPECT_TRUE(loaded.empty());
+    EXPECT_EQ(sweep::loadStateBlob(path, 0xabcd, loaded),
+              CheckpointLoad::Ok);
+
+    // The other direction: a plane-major blob under the supported mask
+    // of a build that predates the bit.
+    ASSERT_TRUE(sweep::saveStateBlob(
+        path, 0xabcd, someBlob(),
+        sweep::stateBlobFeaturePerceptron |
+            sweep::stateBlobFeaturePlaneMajor));
+    EXPECT_EQ(sweep::loadStateBlob(path, 0xabcd, loaded,
+                                   sweep::stateBlobFeaturePerceptron),
+              CheckpointLoad::UnsupportedKind);
+    EXPECT_EQ(sweep::loadStateBlob(path, 0xabcd, loaded,
+                                   sweep::stateBlobSupportedFeatures,
+                                   sweep::stateBlobFeaturePlaneMajor),
+              CheckpointLoad::Ok);
+    EXPECT_EQ(loaded, someBlob());
 }
 
 TEST_F(CheckpointTest, LoadStatusNamesAreStable)

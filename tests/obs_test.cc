@@ -20,6 +20,8 @@
 #include "obs/report.hh"
 #include "obs/timer.hh"
 
+#include "temp_path.hh"
+
 namespace {
 
 using namespace ccp;
@@ -532,7 +534,7 @@ TEST(Report, WriteFileRoundTrips)
     report.section("results")["ok"] = Json(true);
 
     std::string path =
-        testing::TempDir() + "/ccp_obs_test_report.json";
+        testutil::tempPath("report.json");
     ASSERT_TRUE(report.writeFile(path));
 
     std::ifstream in(path);

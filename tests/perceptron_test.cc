@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <set>
 #include <vector>
 
@@ -117,9 +118,8 @@ TEST(Perceptron, PredictMatchesDotAndSuppression)
 
 TEST(Perceptron, DeepStateLayoutIsSound)
 {
-    // 64 nodes at depth 5 forces per-node histories to straddle
-    // 64-bit word boundaries; the weight lanes and Bloom word follow
-    // and must not alias them.
+    // 64 nodes at depth 5: five full-word history planes, then 384
+    // weight bytes and the Bloom word, which must not alias them.
     PerceptronFunction fn(5, 64, params(5, 2, 32));
     auto st = freshState(fn);
     Rng rng(3);
@@ -148,20 +148,17 @@ TEST(Perceptron, ThetaMonotonicityOnFixedState)
 // ---------------------------------------------------------------------
 // Saturating weight arithmetic
 
-/** All weight lanes of an entry, read straight from the raw state. */
+/** All weight lanes of an entry, read straight from the raw state
+ *  (the int8 weight bytes follow the history planes). */
 std::vector<int>
 rawWeights(const std::vector<std::uint64_t> &st, unsigned depth,
            unsigned n_nodes)
 {
     const std::size_t history_words =
         (std::size_t(n_nodes) * depth + 63) / 64;
-    const auto *lanes = reinterpret_cast<const std::int8_t *>(
-        st.data() + history_words);
-    std::vector<int> out;
-    for (std::size_t i = 0;
-         i < std::size_t(n_nodes) * (depth + 1); ++i)
-        out.push_back(lanes[i]);
-    return out;
+    std::vector<std::int8_t> lanes(std::size_t(n_nodes) * (depth + 1));
+    std::memcpy(lanes.data(), st.data() + history_words, lanes.size());
+    return std::vector<int>(lanes.begin(), lanes.end());
 }
 
 TEST(Perceptron, WeightsNeverEscapeClampBounds)

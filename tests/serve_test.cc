@@ -672,6 +672,62 @@ TEST_F(ServerSnapshotTest, PerceptronRestoresByteIdenticalAtAnyAgentCount)
     }
 }
 
+TEST_F(ServerSnapshotTest, LearnedSnapshotsCarryThePlaneMajorBit)
+{
+    // PAs and perceptron entries are stored plane-major, and their
+    // snapshots say so with a feature bit: this build refuses a
+    // learned-family blob without it (written node-major by an earlier
+    // build), and a decoder holding the earlier supported mask refuses
+    // a blob with it.  Window families carry no bit.
+    const std::uint32_t old_supported = sweep::stateBlobFeaturePerceptron;
+    const auto streams = makeStreams(2);
+    for (const char *name : {"pas(pid+pc4)2",
+                             "perceptron(hash:pid+pc4)2w5t2b16",
+                             "inter(pid+pc4)2"}) {
+        SCOPED_TRACE(name);
+        ServeOptions opts;
+        opts.session = makeConfig(name, 32);
+        opts.nNodes = kNodes;
+        opts.sessions = 2;
+        opts.agents = 2;
+        opts.snapshotPath = snapPath();
+        opts.snapshotIntervalSec = 0;
+        {
+            PredictServer server(opts);
+            ASSERT_TRUE(server.start());
+            driveServer(server, streams);
+            server.stop();
+        }
+
+        PredictServer probe(opts);
+        const auto kind = opts.session.scheme.kind;
+        const bool learned = kind == predict::FunctionKind::PAs ||
+                             kind == predict::FunctionKind::Perceptron;
+        const std::uint32_t features = probe.snapshotFeatures();
+        EXPECT_EQ((features & sweep::stateBlobFeaturePlaneMajor) != 0,
+                  learned);
+        EXPECT_EQ(probe.restore(), sweep::CheckpointLoad::Ok);
+
+        std::vector<char> payload;
+        EXPECT_EQ(sweep::loadStateBlob(snapPath(), probe.snapshotKey(),
+                                       payload, old_supported),
+                  learned ? sweep::CheckpointLoad::UnsupportedKind
+                          : sweep::CheckpointLoad::Ok);
+        if (!learned)
+            continue;
+
+        // The same payload without the plane-major bit is refused.
+        ASSERT_EQ(sweep::loadStateBlob(snapPath(), probe.snapshotKey(),
+                                       payload),
+                  sweep::CheckpointLoad::Ok);
+        ASSERT_TRUE(sweep::saveStateBlob(
+            snapPath(), probe.snapshotKey(), payload,
+            features & ~sweep::stateBlobFeaturePlaneMajor));
+        PredictServer stale(opts);
+        EXPECT_EQ(stale.restore(), sweep::CheckpointLoad::UnsupportedKind);
+    }
+}
+
 TEST_F(ServerSnapshotTest, SnapshotNowWhileServingIsRestorable)
 {
     const SessionConfig cfg = makeConfig("inter(pid+pc4)2", 32);

@@ -17,6 +17,8 @@
 
 #include "common/subprocess.hh"
 
+#include "temp_path.hh"
+
 namespace {
 
 using namespace ccp;
@@ -134,7 +136,7 @@ TEST(SubprocessTest, EnvSetAndUnsetShapeTheChildEnvironment)
 TEST(SubprocessTest, StdoutRedirectionWritesTheFile)
 {
     const std::string path =
-        ::testing::TempDir() + "subproc_stdout.txt";
+        testutil::tempPath("stdout.txt");
     std::remove(path.c_str());
     const auto res =
         runShell("echo to-file", [&](SubprocessSpec &s) {

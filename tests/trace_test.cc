@@ -13,6 +13,8 @@
 #include "trace/format.hh"
 #include "trace/trace.hh"
 
+#include "temp_path.hh"
+
 namespace {
 
 using namespace ccp;
@@ -132,7 +134,7 @@ TEST(SharingTrace, FileRoundTrip)
     SharingTrace tr("filetest", 8);
     tr.append(makeEvent(1, 0x400, 5, 0b11));
 
-    std::string path = ::testing::TempDir() + "/ccp_trace_test.bin";
+    std::string path = testutil::tempPath("trace.bin");
     ASSERT_TRUE(tr.saveFile(path));
     SharingTrace back;
     ASSERT_TRUE(back.loadFile(path));
@@ -327,7 +329,7 @@ TEST(TraceFormatV4, MappedLoadMatchesStreamLoad)
 {
     SharingTrace tr = sampleTrace();
     const std::string path =
-        ::testing::TempDir() + "/ccp_trace_mmap_eq.trace";
+        testutil::tempPath("mmap_eq.trace");
     ASSERT_TRUE(tr.saveFile(path));
 
     SharingTrace via_stream, via_map;
@@ -361,7 +363,7 @@ TEST(TraceFormatV4, MappedLoadRejectsCorruptFiles)
 {
     const std::string whole = serialized(sampleTrace());
     const std::string path =
-        ::testing::TempDir() + "/ccp_trace_mmap_bad.trace";
+        testutil::tempPath("mmap_bad.trace");
 
     auto write_file = [&](const std::string &bytes) {
         std::ofstream os(path, std::ios::binary | std::ios::trunc);
@@ -391,7 +393,7 @@ TEST(TraceFormatV4, LoadFileUsesMappedPathTransparently)
 {
     SharingTrace tr = sampleTrace();
     const std::string path =
-        ::testing::TempDir() + "/ccp_trace_loadfile.trace";
+        testutil::tempPath("loadfile.trace");
     ASSERT_TRUE(tr.saveFile(path));
     SharingTrace back;
     ASSERT_TRUE(back.loadFile(path));
