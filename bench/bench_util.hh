@@ -16,10 +16,10 @@
  *                     hardware threads; 1 = the sequential path; 0 is
  *                     the same as the default)
  *   --kernel <k>      sweep evaluation kernel: "batched" (the
- *                     event-major default), "simd" (the SoA
- *                     bit-parallel lanes, docs/KERNELS.md), or
- *                     "reference" (the per-scheme oracle); output is
- *                     byte-identical either way
+ *                     event-major default, docs/KERNELS.md), "simd"
+ *                     (an alias of batched), or "reference" (the
+ *                     per-scheme oracle); output is byte-identical
+ *                     either way
  *
  * Tracing flags (docs/OBSERVABILITY.md, "Tracing & profiling"):
  *   --trace-out <path>  record execution spans (thread-pool chunks,

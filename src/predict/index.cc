@@ -103,12 +103,9 @@ makeIndexPlan(const IndexSpec &spec, unsigned node_bits)
     }
     ccp_assert(shift == spec.indexBits(node_bits),
                "index plan packing mismatch");
-    // Every field shift must stay < 64: past that, scalar << is UB
-    // while the AVX2 variable shift (_mm256_sllv_epi64) yields zero,
-    // so an over-wide plan would make the simd kernel's two backends
-    // silently diverge instead of failing loudly.  Wider specs are
-    // unusable configurations anyway (one table entry per 2^64
-    // indices); schemeStateWords rejects them far earlier with a
+    // Every field shift must stay < 64: past that, << is UB.  Wider
+    // specs are unusable configurations anyway (one table entry per
+    // 2^64 indices); schemeStateWords rejects them far earlier with a
     // structured error, so this guards direct makeIndexPlan callers.
     ccp_assert(shift <= 64, "index plan wider than 64 bits");
     return plan;

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
-#include <map>
-#include <tuple>
 
 #include "common/logging.hh"
 #include "obs/registry.hh"
@@ -16,7 +13,6 @@ namespace ccp::sweep {
 
 using predict::Confusion;
 using predict::FunctionKind;
-using predict::IndexPlan;
 using predict::PAsFunction;
 using predict::PerceptronFunction;
 using predict::SchemeSpec;
@@ -26,69 +22,19 @@ using predict::UpdateMode;
 namespace {
 
 /**
- * The window-function state transitions, inlined (bit-identical to
- * WindowFunction in predict/function.cc: word 0 packs (count,
- * next-slot), words 1..depth are the stored bitmaps).
+ * Push @p fb into a shared history entry [count, h0, ..., h(D-1)]:
+ * the slots shift one older (the oldest drops off), h0 takes the
+ * feedback, and count saturates at D.  Slots at or past count stay
+ * zero, since only zeros ever shift into them.
  */
-inline std::uint64_t
-windowPredict(const std::uint64_t *st, bool is_union)
-{
-    unsigned count = static_cast<unsigned>(st[0] & 0xffffffffu);
-    if (count == 0)
-        return 0;
-    std::uint64_t acc = st[1];
-    if (is_union) {
-        for (unsigned i = 1; i < count; ++i)
-            acc |= st[1 + i];
-    } else {
-        for (unsigned i = 1; i < count; ++i)
-            acc &= st[1 + i];
-    }
-    return acc;
-}
-
 inline void
-windowUpdate(std::uint64_t *st, unsigned depth, std::uint64_t fb)
+pushHistory(std::uint64_t *entry, unsigned depth, std::uint64_t fb)
 {
-    unsigned count = static_cast<unsigned>(st[0] & 0xffffffffu);
-    unsigned pos = static_cast<unsigned>(st[0] >> 32);
-    st[1 + pos] = fb;
-    pos = (pos + 1) % depth;
-    if (count < depth)
-        ++count;
-    st[0] = (std::uint64_t(pos) << 32) | count;
-}
-
-/** Depth-1 window ("last"): the modular arithmetic collapses. */
-inline std::uint64_t
-lastPredict(const std::uint64_t *st)
-{
-    return (st[0] & 0xffffffffu) ? st[1] : 0;
-}
-
-inline void
-lastUpdate(std::uint64_t *st, std::uint64_t fb)
-{
-    st[1] = fb;
-    st[0] = 1; // count 1, next slot 0 — what windowUpdate produces
-}
-
-/** Overlap-last, inlined from OverlapLastFunction. */
-inline std::uint64_t
-overlapPredict(const std::uint64_t *st)
-{
-    if (static_cast<unsigned>(st[0]) < 2)
-        return 0;
-    return (st[1] & st[2]) ? st[1] : 0;
-}
-
-inline void
-overlapUpdate(std::uint64_t *st, std::uint64_t fb)
-{
-    st[2] = st[1];
-    st[1] = fb;
-    if (st[0] < 2)
-        ++st[0];
+    for (unsigned j = depth - 1; j > 0; --j)
+        entry[1 + j] = entry[j];
+    entry[1] = fb;
+    if (entry[0] < depth)
+        ++entry[0];
 }
 
 /**
@@ -115,277 +61,195 @@ checkedSchemeStateWords(unsigned bits, std::size_t entry_words)
     return entries * entry_words;
 }
 
-/** CCP_SIMD_DISABLE: set (and not "0") forces the portable lane
- *  kernel.  Read per evaluator construction, not cached, so tests can
- *  flip it with setenv in-process. */
-bool
-simdDisabledByEnv()
-{
-    const char *v = std::getenv("CCP_SIMD_DISABLE");
-    return v != nullptr && v[0] != '\0' &&
-           !(v[0] == '0' && v[1] == '\0');
-}
-
-const lanes::LaneKernel &
-selectLaneKernel()
-{
-    if (!simdDisabledByEnv())
-        if (const lanes::LaneKernel *k = lanes::avx2LaneKernel())
-            return *k;
-    return lanes::scalarLaneKernel();
-}
-
 } // namespace
 
-const char *
-simdBackendName()
-{
-    return selectLaneKernel().name;
-}
-
 BatchEvaluator::BatchEvaluator(std::vector<SchemeSpec> schemes,
-                               unsigned n_nodes, BatchEngine engine)
-    : schemes_(std::move(schemes)), nNodes_(n_nodes),
-      nodeBits_(predict::nodeBitsFor(n_nodes)), engine_(engine)
+                               unsigned n_nodes)
+    : schemes_(std::move(schemes)), nNodes_(n_nodes)
 {
     ccp_assert(!schemes_.empty(), "empty scheme batch");
-    compiled_.reserve(schemes_.size());
+    const unsigned node_bits = predict::nodeBitsFor(n_nodes);
 
-    std::vector<unsigned> bits_of(schemes_.size(), 0);
+    // Group the window-family schemes by IndexSpec (hashed flag
+    // included), in first-appearance order: every member of a group
+    // writes the same bitmaps to the same entries, so one history at
+    // the deepest member's depth serves them all.
+    std::vector<predict::IndexSpec> history_index;
+    std::vector<std::vector<Member>> history_members;
+    std::vector<std::size_t> learned_of;
     for (std::size_t i = 0; i < schemes_.size(); ++i) {
         const SchemeSpec &s = schemes_[i];
-        Compiled c;
-        c.plan = predict::makeIndexPlan(s.index, nodeBits_);
-        c.depth = s.depth;
+        Member m;
+        m.scheme = i;
         switch (s.kind) {
           case FunctionKind::Union:
           case FunctionKind::Inter:
             ccp_assert(s.depth >= 1 && s.depth <= 32,
                        "bad window depth ", s.depth);
-            c.op = s.depth == 1 ? Op::Last
-                   : s.kind == FunctionKind::Union ? Op::Union
-                                                   : Op::Inter;
-            c.entryWords = s.depth + 1;
+            m.read = s.kind == FunctionKind::Inter && s.depth > 1
+                         ? Read::Inter
+                         : Read::Union;
+            m.depth = s.depth;
             break;
           case FunctionKind::OverlapLast:
-            c.op = Op::OverlapLast;
-            c.entryWords = 3;
+            m.read = Read::OverlapLast;
+            m.depth = 2;
             break;
           case FunctionKind::PAs:
-            c.op = Op::PAs;
-            c.pas = std::make_shared<const PAsFunction>(s.depth,
-                                                        n_nodes);
-            c.entryWords = c.pas->entryWords();
-            break;
           case FunctionKind::Perceptron:
-            c.op = Op::Perceptron;
-            c.perc = std::make_shared<const PerceptronFunction>(
-                s.depth, n_nodes, s.perc);
-            c.entryWords = c.perc->entryWords();
-            break;
-        }
-        bits_of[i] = s.index.indexBits(nodeBits_);
-        compiled_.push_back(std::move(c));
-    }
-
-    if (engine_ == BatchEngine::Simd) {
-        partitionLanes(bits_of);
-    } else {
-        scalarSchemes_.resize(compiled_.size());
-        for (std::size_t i = 0; i < compiled_.size(); ++i)
-            scalarSchemes_[i] = i;
-    }
-
-    // Slice the scalar-path state (everything, under Scalar).
-    std::size_t total_words = 0;
-    for (std::size_t i : scalarSchemes_) {
-        Compiled &c = compiled_[i];
-        c.base = total_words;
-        total_words +=
-            checkedSchemeStateWords(bits_of[i], c.entryWords);
-    }
-    state_.assign(total_words, 0);
-    entryScratch_.assign(compiled_.size(), nullptr);
-    updScratch_.assign(compiled_.size(), nullptr);
-}
-
-void
-BatchEvaluator::partitionLanes(const std::vector<unsigned> &bits_of)
-{
-    laneKernel_ = &selectLaneKernel();
-
-    // Bucket the window-family schemes by (family, depth); lanes of
-    // one group may differ in index width — the group's entry count
-    // is padded to the widest lane's, bounded by maxLanePadBits so a
-    // narrow scheme can never inflate a group's state by more than
-    // 2^maxLanePadBits.  The map key keeps group formation
-    // deterministic in the scheme list alone.
-    std::map<std::pair<std::uint8_t, unsigned>,
-             std::vector<std::size_t>>
-        classes;
-    for (std::size_t i = 0; i < compiled_.size(); ++i) {
-        const Compiled &c = compiled_[i];
-        if (c.op == Op::PAs || c.op == Op::Perceptron ||
-            c.plan.hashed()) {
-            // Multi-word adaptive/perceptron entries have no u64 lane
-            // to vectorize, and a hashed index plan has no mask/shift
-            // transpose; all three ride the scalar path.
-            scalarSchemes_.push_back(i);
+            learned_of.push_back(i);
             continue;
         }
-        classes[{static_cast<std::uint8_t>(c.op), c.depth}]
-            .push_back(i);
+        auto it = std::find(history_index.begin(), history_index.end(),
+                            s.index);
+        if (it == history_index.end()) {
+            history_index.push_back(s.index);
+            history_members.emplace_back();
+            it = history_index.end() - 1;
+        }
+        history_members[it - history_index.begin()].push_back(m);
     }
 
-    std::size_t lane_words = 0;
-    for (auto &[key, members] : classes) {
-        // Widest schemes first, original position as tie-break: a
-        // greedy pass then packs each group from schemes of similar
-        // width, so the padding cap prunes as few groups as possible.
-        std::stable_sort(members.begin(), members.end(),
-                         [&](std::size_t a, std::size_t b) {
-                             return bits_of[a] > bits_of[b];
+    // Slice the state: shared histories first, then learned schemes.
+    std::size_t total_words = 0;
+    auto add_table = [&](const predict::IndexSpec &index,
+                         std::size_t entry_words) {
+        Table t;
+        t.plan = predict::makeIndexPlan(index, node_bits);
+        t.entryWords = entry_words;
+        t.base = total_words;
+        total_words += checkedSchemeStateWords(
+            index.indexBits(node_bits), entry_words);
+        tables_.push_back(t);
+    };
+    for (std::size_t h = 0; h < history_index.size(); ++h) {
+        std::vector<Member> &ms = history_members[h];
+        // Depth order lets one prefix fold serve every member.
+        std::stable_sort(ms.begin(), ms.end(),
+                         [](const Member &a, const Member &b) {
+                             return a.depth < b.depth;
                          });
-        std::size_t g0 = 0;
-        while (g0 + lanes::laneWidth <= members.size()) {
-            const unsigned bits_max = bits_of[members[g0]];
-            const unsigned bits_min =
-                bits_of[members[g0 + lanes::laneWidth - 1]];
-            if (bits_max - bits_min > maxLanePadBits) {
-                // The widest remaining scheme cannot form a group
-                // within the padding cap; it rides the scalar path
-                // and the window slides on.
-                scalarSchemes_.push_back(members[g0]);
-                ++g0;
-                continue;
-            }
-            const Compiled &c0 = compiled_[members[g0]];
-            lanes::LaneGroup g;
-            switch (c0.op) {
-              case Op::Last:
-                g.family = lanes::LaneFamily::Last;
-                break;
-              case Op::Union:
-                g.family = lanes::LaneFamily::Union;
-                break;
-              case Op::Inter:
-                g.family = lanes::LaneFamily::Inter;
-                break;
-              case Op::OverlapLast:
-                g.family = lanes::LaneFamily::OverlapLast;
-                break;
-              case Op::PAs:
-              case Op::Perceptron:
-                ccp_panic("scalar-only scheme in a lane class");
-            }
-            g.depth = c0.depth;
-            g.entryWords = c0.entryWords;
-            g.base = lane_words;
-            for (std::size_t l = 0; l < lanes::laneWidth; ++l) {
-                const std::size_t si = members[g0 + l];
-                g.schemeIdx[l] = si;
-                const IndexPlan &p = compiled_[si].plan;
-                g.plans.addrMask[l] = p.addrMask;
-                g.plans.addrShift[l] = p.addrShift;
-                g.plans.dirMask[l] = p.dirMask;
-                g.plans.dirShift[l] = p.dirShift;
-                g.plans.pcMask[l] = p.pcMask;
-                g.plans.pcShift[l] = p.pcShift;
-                g.plans.pidMask[l] = p.pidMask;
-                g.plans.pidShift[l] = p.pidShift;
-            }
-            lane_words +=
-                checkedSchemeStateWords(bits_max, g.entryWords) *
-                lanes::laneWidth;
-            laneGroups_.push_back(g);
-            g0 += lanes::laneWidth;
-        }
-        // A partial trailing group would waste gather lanes; the
-        // leftovers ride the scalar path instead.
-        for (std::size_t r = g0; r < members.size(); ++r)
-            scalarSchemes_.push_back(members[r]);
+        History hist;
+        hist.depth = ms.back().depth;
+        hist.firstMember = members_.size();
+        members_.insert(members_.end(), ms.begin(), ms.end());
+        hist.endMember = members_.size();
+        histories_.push_back(hist);
+        add_table(history_index[h], hist.depth + 1);
     }
-    laneState_.assign(lane_words, 0);
-    laneIdxScratch_.assign(
-        laneGroups_.size() * lanes::laneScratchWords, 0);
+    for (std::size_t i : learned_of) {
+        const SchemeSpec &s = schemes_[i];
+        Learned l;
+        l.scheme = i;
+        std::size_t entry_words;
+        if (s.kind == FunctionKind::PAs) {
+            l.pas = std::make_shared<const PAsFunction>(s.depth, n_nodes);
+            entry_words = l.pas->entryWords();
+        } else {
+            l.perc = std::make_shared<const PerceptronFunction>(
+                s.depth, n_nodes, s.perc);
+            entry_words = l.perc->entryWords();
+        }
+        learned_.push_back(std::move(l));
+        add_table(s.index, entry_words);
+    }
+    state_.assign(total_words, 0);
+    entryScratch_.assign(tables_.size(), nullptr);
+    updScratch_.assign(tables_.size(), nullptr);
 }
 
 template <UpdateMode mode>
 inline void
-BatchEvaluator::stepScheme(Compiled &c, std::uint64_t *entry,
-                           std::uint64_t *upd, bool has_prev,
-                           std::uint64_t inval,
-                           std::uint64_t fb_ordered, std::uint64_t mask,
-                           std::uint64_t actual,
-                           std::uint64_t actual_pop)
+BatchEvaluator::stepHistory(const History &h, Member *members,
+                            std::uint64_t *entry, std::uint64_t *upd,
+                            bool has_prev, std::uint64_t inval,
+                            std::uint64_t fb_ordered, std::uint64_t mask,
+                            std::uint64_t actual)
 {
-    std::uint64_t pred = 0;
-    switch (c.op) {
-      case Op::Last:
-        if (mode != UpdateMode::Ordered && has_prev)
-            lastUpdate(upd, inval);
-        pred = lastPredict(entry);
-        if (mode == UpdateMode::Ordered)
-            lastUpdate(entry, fb_ordered);
-        break;
-      case Op::Union:
-      case Op::Inter:
-        if (mode != UpdateMode::Ordered && has_prev)
-            windowUpdate(upd, c.depth, inval);
-        pred = windowPredict(entry, c.op == Op::Union);
-        if (mode == UpdateMode::Ordered)
-            windowUpdate(entry, c.depth, fb_ordered);
-        break;
-      case Op::OverlapLast:
-        if (mode != UpdateMode::Ordered && has_prev)
-            overlapUpdate(upd, inval);
-        pred = overlapPredict(entry);
-        if (mode == UpdateMode::Ordered)
-            overlapUpdate(entry, fb_ordered);
-        break;
-      case Op::PAs:
-        // Qualified calls: no virtual dispatch in the loop.
-        if (mode != UpdateMode::Ordered && has_prev)
-            c.pas->PAsFunction::update(upd, SharingBitmap(inval));
-        pred = c.pas->PAsFunction::predict(entry).raw();
-        if (mode == UpdateMode::Ordered)
-            c.pas->PAsFunction::update(entry,
-                                       SharingBitmap(fb_ordered));
-        break;
-      case Op::Perceptron:
-        if (mode != UpdateMode::Ordered && has_prev)
-            c.perc->PerceptronFunction::update(upd,
-                                               SharingBitmap(inval));
-        pred = c.perc->PerceptronFunction::predict(entry).raw();
-        if (mode == UpdateMode::Ordered)
-            c.perc->PerceptronFunction::update(
-                entry, SharingBitmap(fb_ordered));
-        break;
+    // Same order as the reference step: direct and forwarded update
+    // before predicting, ordered update after.
+    if (mode != UpdateMode::Ordered && has_prev)
+        pushHistory(upd, h.depth, inval);
+
+    // One OR / AND prefix fold over the filled slots serves every
+    // member: a depth-d member reads the fold at min(count, d).
+    const std::uint64_t count = entry[0];
+    const std::uint64_t *const slot = entry + 1;
+    std::uint64_t any = 0, all = ~std::uint64_t(0);
+    unsigned j = 0;
+    for (std::size_t k = h.firstMember; k < h.endMember; ++k) {
+        Member &m = members[k];
+        std::uint64_t pred;
+        if (m.read == Read::OverlapLast) {
+            pred = count >= 2 && (slot[0] & slot[1]) ? slot[0] : 0;
+        } else {
+            const unsigned lim =
+                static_cast<unsigned>(std::min<std::uint64_t>(m.depth,
+                                                              count));
+            for (; j < lim; ++j) {
+                any |= slot[j];
+                all &= slot[j];
+            }
+            pred = m.read == Read::Union ? any : count ? all : 0;
+        }
+        pred &= mask;
+        m.tp += std::popcount(pred & actual);
+        m.pp += std::popcount(pred);
     }
 
-    // Word-wise confusion: two popcounts, no per-bit work.
-    // |pred & ~actual| = |pred| - tp and |actual & ~pred| =
-    // |actual| - tp, with |actual| hoisted per event.
-    pred &= mask;
-    const std::uint64_t tp = std::popcount(pred & actual);
-    c.tp += tp;
-    c.fp += std::popcount(pred) - tp;
-    c.fn += actual_pop - tp;
+    if (mode == UpdateMode::Ordered)
+        pushHistory(entry, h.depth, fb_ordered);
 }
 
 template <UpdateMode mode>
-void
+inline void
+BatchEvaluator::stepLearned(Learned &l, std::uint64_t *entry,
+                            std::uint64_t *upd, bool has_prev,
+                            std::uint64_t inval,
+                            std::uint64_t fb_ordered, std::uint64_t mask,
+                            std::uint64_t actual)
+{
+    std::uint64_t pred;
+    // Qualified calls: no virtual dispatch in the loop.
+    if (l.pas) {
+        if (mode != UpdateMode::Ordered && has_prev)
+            l.pas->PAsFunction::update(upd, SharingBitmap(inval));
+        pred = l.pas->PAsFunction::predict(entry).raw();
+        if (mode == UpdateMode::Ordered)
+            l.pas->PAsFunction::update(entry,
+                                       SharingBitmap(fb_ordered));
+    } else {
+        if (mode != UpdateMode::Ordered && has_prev)
+            l.perc->PerceptronFunction::update(upd,
+                                               SharingBitmap(inval));
+        pred = l.perc->PerceptronFunction::predict(entry).raw();
+        if (mode == UpdateMode::Ordered)
+            l.perc->PerceptronFunction::update(
+                entry, SharingBitmap(fb_ordered));
+    }
+    pred &= mask;
+    l.tp += std::popcount(pred & actual);
+    l.pp += std::popcount(pred);
+}
+
+template <UpdateMode mode>
+std::uint64_t
 BatchEvaluator::runTrace(const trace::SharingTrace &trace,
                          const std::vector<SharingBitmap> &ordered_fb)
 {
     const std::uint64_t mask = SharingBitmap::all(nNodes_).raw();
     std::uint64_t *const state = state_.data();
-    Compiled *const compiled = compiled_.data();
-    const std::size_t n_schemes = compiled_.size();
+    const Table *const tables = tables_.data();
+    const std::size_t n_tables = tables_.size();
+    const History *const histories = histories_.data();
+    const std::size_t n_histories = histories_.size();
+    Member *const members = members_.data();
+    Learned *const learned = learned_.data();
 
     std::uint64_t **const ent = entryScratch_.data();
     std::uint64_t **const upd_ptr = updScratch_.data();
 
+    std::uint64_t actual_pop = 0;
     EventSeq seq = 0;
     for (const auto &ev : trace.events()) {
         // Decode once per event, not once per (event, scheme).
@@ -395,153 +259,61 @@ BatchEvaluator::runTrace(const trace::SharingTrace &trace,
         const std::uint64_t block = ev.block;
         const std::uint64_t inval = ev.invalidated.raw();
         const std::uint64_t actual = ev.readers.raw() & mask;
-        const std::uint64_t actual_pop = std::popcount(actual);
+        actual_pop += std::popcount(actual);
         const bool has_prev = ev.hasPrevWriter;
         const std::uint64_t prev_pid = ev.prevWriterPid;
         const std::uint64_t prev_pcw = ev.prevWriterPc >> 2;
         const std::uint64_t fb_ordered =
             mode == UpdateMode::Ordered ? ordered_fb[seq].raw() : 0;
 
-        // Address pass: resolve (and prefetch) every scheme's entry
-        // before any is touched, so the per-scheme cache misses
+        // Address pass: resolve (and prefetch) every table's entry
+        // before any is touched, so the per-table cache misses
         // overlap instead of serializing behind each other.  The
         // entry's last word is prefetched too: a perceptron entry
         // spans two cache lines.  The update entry is the current
         // writer's for direct and ordered, the dying version's
         // writer's for forwarded (same dir/block, different identity
         // fields).
-        for (std::size_t i = 0; i < n_schemes; ++i) {
-            const Compiled &c = compiled[i];
-            std::uint64_t *const slice = state + c.base;
+        for (std::size_t t = 0; t < n_tables; ++t) {
+            const Table &tb = tables[t];
+            std::uint64_t *const slice = state + tb.base;
             std::uint64_t *const entry =
                 slice +
-                c.plan.fromWords(pid, pcw, dir, block) * c.entryWords;
-            ent[i] = entry;
+                tb.plan.fromWords(pid, pcw, dir, block) * tb.entryWords;
+            ent[t] = entry;
             __builtin_prefetch(entry, 1);
-            __builtin_prefetch(entry + c.entryWords - 1, 1);
+            __builtin_prefetch(entry + tb.entryWords - 1, 1);
             if (mode == UpdateMode::Forwarded) {
                 std::uint64_t *upd =
-                    has_prev ? slice + c.plan.fromWords(prev_pid,
-                                                        prev_pcw, dir,
-                                                        block) *
-                                           c.entryWords
+                    has_prev ? slice + tb.plan.fromWords(prev_pid,
+                                                         prev_pcw, dir,
+                                                         block) *
+                                           tb.entryWords
                              : entry;
-                upd_ptr[i] = upd;
+                upd_ptr[t] = upd;
                 __builtin_prefetch(upd, 1);
             }
         }
 
-        for (std::size_t i = 0; i < n_schemes; ++i) {
-            Compiled &c = compiled[i];
-            std::uint64_t *const entry = ent[i];
+        for (std::size_t t = 0; t < n_histories; ++t) {
+            std::uint64_t *const entry = ent[t];
             std::uint64_t *const upd =
-                mode == UpdateMode::Forwarded ? upd_ptr[i] : entry;
-            stepScheme<mode>(c, entry, upd, has_prev, inval,
-                             fb_ordered, mask, actual, actual_pop);
+                mode == UpdateMode::Forwarded ? upd_ptr[t] : entry;
+            stepHistory<mode>(histories[t], members, entry, upd,
+                              has_prev, inval, fb_ordered, mask,
+                              actual);
+        }
+        for (std::size_t t = n_histories; t < n_tables; ++t) {
+            std::uint64_t *const entry = ent[t];
+            std::uint64_t *const upd =
+                mode == UpdateMode::Forwarded ? upd_ptr[t] : entry;
+            stepLearned<mode>(learned[t - n_histories], entry, upd,
+                              has_prev, inval, fb_ordered, mask,
+                              actual);
         }
         ++seq;
     }
-}
-
-template <UpdateMode mode>
-void
-BatchEvaluator::runTraceSimd(
-    const trace::SharingTrace &trace,
-    const std::vector<SharingBitmap> &ordered_fb)
-{
-    const std::uint64_t mask = SharingBitmap::all(nNodes_).raw();
-    std::uint64_t *const state = state_.data();
-    std::uint64_t *const lane_state = laneState_.data();
-    Compiled *const compiled = compiled_.data();
-    lanes::LaneGroup *const groups = laneGroups_.data();
-    const std::size_t n_groups = laneGroups_.size();
-
-    const lanes::LaneKernel::RunFn lane_run =
-        mode == UpdateMode::Direct      ? laneKernel_->direct
-        : mode == UpdateMode::Forwarded ? laneKernel_->forwarded
-                                        : laneKernel_->ordered;
-    std::uint64_t *const lane_scratch = laneIdxScratch_.data();
-
-    const std::size_t *const scalar_idx = scalarSchemes_.data();
-    const std::size_t n_scalar = scalarSchemes_.size();
-    std::uint64_t **const ent = entryScratch_.data();
-    std::uint64_t **const upd_ptr = updScratch_.data();
-
-    std::uint64_t total_actual_pop = 0;
-    EventSeq seq = 0;
-    for (const auto &ev : trace.events()) {
-        lanes::LaneEvent le;
-        le.pid = ev.pid;
-        le.pcw = ev.pc >> 2;
-        le.dir = ev.dir;
-        le.block = ev.block;
-        le.prevPid = ev.prevWriterPid;
-        le.prevPcw = ev.prevWriterPc >> 2;
-        le.inval = ev.invalidated.raw();
-        le.fb = mode == UpdateMode::Ordered ? ordered_fb[seq].raw()
-                                            : 0;
-        le.actual = ev.readers.raw() & mask;
-        le.mask = mask;
-        le.hasPrev = ev.hasPrevWriter;
-        const std::uint64_t actual_pop = std::popcount(le.actual);
-        total_actual_pop += actual_pop;
-
-        // Address pass over the leftover schemes, as in runTrace:
-        // resolve (and prefetch) each entry before any is touched, so
-        // their cache misses overlap — with each other and with the
-        // lane kernel's own address stage, which runs right after
-        // while these prefetches are still in flight.
-        for (std::size_t k = 0; k < n_scalar; ++k) {
-            const Compiled &c = compiled[scalar_idx[k]];
-            std::uint64_t *const slice = state + c.base;
-            std::uint64_t *const entry =
-                slice + c.plan.fromWords(le.pid, le.pcw, le.dir,
-                                         le.block) *
-                            c.entryWords;
-            ent[k] = entry;
-            __builtin_prefetch(entry, 1);
-            __builtin_prefetch(entry + c.entryWords - 1, 1);
-            if (mode == UpdateMode::Forwarded) {
-                std::uint64_t *upd =
-                    le.hasPrev
-                        ? slice + c.plan.fromWords(le.prevPid,
-                                                   le.prevPcw, le.dir,
-                                                   le.block) *
-                                      c.entryWords
-                        : entry;
-                upd_ptr[k] = upd;
-                __builtin_prefetch(upd, 1);
-            }
-        }
-
-        if (n_groups)
-            lane_run(groups, n_groups, lane_state, le, lane_scratch);
-
-        // Leftover, PAs and perceptron schemes: the scalar
-        // per-scheme body.
-        for (std::size_t k = 0; k < n_scalar; ++k) {
-            Compiled &c = compiled[scalar_idx[k]];
-            std::uint64_t *const entry = ent[k];
-            std::uint64_t *const upd =
-                mode == UpdateMode::Forwarded ? upd_ptr[k] : entry;
-            stepScheme<mode>(c, entry, upd, le.hasPrev, le.inval,
-                             le.fb, mask, le.actual, actual_pop);
-        }
-        ++seq;
-    }
-
-    // Fold the lane tallies back into the per-scheme confusion
-    // slots; fp and fn follow by conservation (predicted-positive
-    // and actual-positive totals minus the true positives).
-    for (std::size_t gi = 0; gi < n_groups; ++gi) {
-        const lanes::LaneGroup &g = groups[gi];
-        for (std::size_t l = 0; l < lanes::laneWidth; ++l) {
-            Compiled &c = compiled[g.schemeIdx[l]];
-            c.tp = g.tp[l];
-            c.fp = g.pp[l] - g.tp[l];
-            c.fn = total_actual_pop - g.tp[l];
-        }
-    }
+    return actual_pop;
 }
 
 std::vector<Confusion>
@@ -552,38 +324,33 @@ BatchEvaluator::evaluateTrace(const trace::SharingTrace &trace,
                "batch compiled for ", nNodes_, " nodes, trace has ",
                trace.nNodes());
     std::fill(state_.begin(), state_.end(), 0);
-    std::fill(laneState_.begin(), laneState_.end(), 0);
-    for (Compiled &c : compiled_)
-        c.tp = c.fp = c.fn = 0;
-    for (lanes::LaneGroup &g : laneGroups_)
-        for (std::size_t l = 0; l < lanes::laneWidth; ++l)
-            g.tp[l] = g.pp[l] = 0;
+    for (Member &m : members_)
+        m.tp = m.pp = 0;
+    for (Learned &l : learned_)
+        l.tp = l.pp = 0;
 
     std::vector<SharingBitmap> ordered_fb;
     if (mode == UpdateMode::Ordered)
         ordered_fb = predict::orderedFeedback(trace);
 
-    const bool simd = engine_ == BatchEngine::Simd;
     CCP_TRACE_SPAN_N("batch", "batch.trace", trace.events().size());
     obs::Stopwatch watch;
+    std::uint64_t actual_pop = 0;
     switch (mode) {
       case UpdateMode::Direct:
-        simd ? runTraceSimd<UpdateMode::Direct>(trace, ordered_fb)
-             : runTrace<UpdateMode::Direct>(trace, ordered_fb);
+        actual_pop = runTrace<UpdateMode::Direct>(trace, ordered_fb);
         break;
       case UpdateMode::Forwarded:
-        simd ? runTraceSimd<UpdateMode::Forwarded>(trace, ordered_fb)
-             : runTrace<UpdateMode::Forwarded>(trace, ordered_fb);
+        actual_pop = runTrace<UpdateMode::Forwarded>(trace, ordered_fb);
         break;
       case UpdateMode::Ordered:
-        simd ? runTraceSimd<UpdateMode::Ordered>(trace, ordered_fb)
-             : runTrace<UpdateMode::Ordered>(trace, ordered_fb);
+        actual_pop = runTrace<UpdateMode::Ordered>(trace, ordered_fb);
         break;
     }
     double sec = watch.elapsedSec();
 
     const std::uint64_t events = trace.events().size();
-    const std::uint64_t scheme_events = events * compiled_.size();
+    const std::uint64_t scheme_events = events * schemes_.size();
     auto &reg = obs::StatsRegistry::current();
     reg.counter("batch.trace_walks") += 1;
     reg.counter("batch.scheme_events") += scheme_events;
@@ -592,12 +359,19 @@ BatchEvaluator::evaluateTrace(const trace::SharingTrace &trace,
         reg.summary("batch.scheme_events_per_sec")
             .add(static_cast<double>(scheme_events) / sec);
 
-    std::vector<Confusion> confs;
-    confs.reserve(compiled_.size());
+    // fp and fn follow by conservation: predicted-positive and
+    // actual-positive totals minus the true positives.
+    std::vector<Confusion> confs(schemes_.size());
     const std::uint64_t decisions = events * nNodes_;
-    for (const Compiled &c : compiled_)
-        confs.push_back(
-            Confusion::fromPositives(c.tp, c.fp, c.fn, decisions));
+    auto tally = [&](std::size_t scheme, std::uint64_t tp,
+                     std::uint64_t pp) {
+        confs[scheme] = Confusion::fromPositives(
+            tp, pp - tp, actual_pop - tp, decisions);
+    };
+    for (const Member &m : members_)
+        tally(m.scheme, m.tp, m.pp);
+    for (const Learned &l : learned_)
+        tally(l.scheme, l.tp, l.pp);
     return confs;
 }
 

@@ -11,27 +11,32 @@
  * This kernel inverts the loop: each trace event is decoded exactly
  * once and driven through *all* schemes of a batch.
  *
- *  - Per-scheme table state lives in one contiguous packed word array
- *    (no per-entry or per-table indirection; schemes are slices at
+ *  - Table state lives in one contiguous packed word array (no
+ *    per-entry or per-table indirection; tables are slices at
  *    precomputed offsets).
- *  - Index extraction is compiled once per scheme into a
+ *  - Index extraction is compiled once per table into a
  *    predict::IndexPlan — a fixed branch-free mask/shift pipeline.
- *  - Prediction functions are dispatched by a flat opcode, with no
- *    virtual calls: the window and overlap-last state transitions are
- *    inlined here with bit-identical semantics to
- *    predict/function.cc, and the learned families (PAs, perceptron)
+ *  - Window-family schemes (last, union, inter, overlap-last) share
+ *    history by index: every bitmap written to an entry depends only
+ *    on the index and the update mode, so the batch keeps ONE history
+ *    table per distinct IndexSpec, [count, h0 (newest), ..., h(D-1)]
+ *    at the deepest member's depth D, pushes each feedback once, and
+ *    reads every member's prediction off one OR/AND prefix fold.
+ *  - The learned families (PAs, perceptron) keep per-scheme state and
  *    call the one PAsFunction / PerceptronFunction step through
  *    qualified calls to their inline, plane-major bodies (all nodes
  *    of an entry per word or vector operation).
- *  - Confusion accumulation is word-wise: three popcounts on the
- *    64-bit sharing bitmaps per (event, scheme) with true negatives
- *    recovered by conservation at the end of the trace, instead of
- *    per-bit branches.
+ *  - Confusion accumulation is word-wise: two popcounts on the 64-bit
+ *    sharing bitmaps per (event, scheme) -- true and predicted
+ *    positives -- with false positives, false negatives and true
+ *    negatives recovered by conservation at the end of the trace,
+ *    instead of per-bit branches.
  *
  * The kernel is an exact drop-in: for every scheme, trace, and update
  * mode its Confusion counts equal the reference Evaluator's bit for
- * bit (tests/differential_test.cc locks this down), so rankings and
- * table output are byte-identical under either kernel.
+ * bit (tests/differential_test.cc and tests/history_test.cc lock
+ * this down), so rankings and table output are byte-identical under
+ * either kernel.
  */
 
 #ifndef CCP_SWEEP_BATCH_HH
@@ -45,36 +50,9 @@
 #include "predict/evaluator.hh"
 #include "predict/function.hh"
 #include "predict/index.hh"
-#include "sweep/batch_lanes.hh"
 #include "trace/trace.hh"
 
 namespace ccp::sweep {
-
-/**
- * Which state layout / inner loop a BatchEvaluator runs.
- *
- *  - Scalar: the per-scheme packed-slice layout above (PR 4).
- *  - Simd: the structure-of-arrays lane layout (batch_lanes.hh) —
- *    window-family schemes are regrouped into 4-wide lanes per
- *    (family, depth, indexBits) class and stepped by a lane kernel
- *    (AVX2 when built + supported + not disabled via the
- *    CCP_SIMD_DISABLE environment override, portable u64 arrays
- *    otherwise); schemes that don't fill a lane group, and the PAs
- *    and perceptron families, keep the scalar path.  Confusion counts
- *    are identical under either engine.
- */
-enum class BatchEngine : std::uint8_t
-{
-    Scalar,
-    Simd,
-};
-
-/**
- * The lane backend the Simd engine would pick on this host right now:
- * "avx2" when the AVX2 translation unit is built, CPUID reports AVX2,
- * and CCP_SIMD_DISABLE is not set; "scalar" otherwise.
- */
-const char *simdBackendName();
 
 /**
  * Evaluates a fixed batch of schemes over traces, event-major.
@@ -91,36 +69,17 @@ class BatchEvaluator
     /**
      * @param schemes The batch (evaluated and returned in order).
      * @param n_nodes Machine size of every trace this batch will see.
-     * @param engine State layout / inner loop (results identical).
      */
     BatchEvaluator(std::vector<predict::SchemeSpec> schemes,
-                   unsigned n_nodes,
-                   BatchEngine engine = BatchEngine::Scalar);
+                   unsigned n_nodes);
 
     std::size_t size() const { return schemes_.size(); }
     unsigned nNodes() const { return nNodes_; }
-    BatchEngine engine() const { return engine_; }
 
-    /** Lane backend tag ("avx2" / "scalar"); "none" under Scalar. */
-    const char *
-    laneBackend() const
-    {
-        return laneKernel_ != nullptr ? laneKernel_->name : "none";
-    }
-
-    /** Schemes running in SoA lane groups (0 under Scalar). */
-    std::size_t
-    laneSchemes() const
-    {
-        return laneGroups_.size() * lanes::laneWidth;
-    }
-
-    /** Total packed predictor-state words across the batch. */
-    std::size_t
-    stateWords() const
-    {
-        return state_.size() + laneState_.size();
-    }
+    /** Total packed predictor-state words across the batch: one
+     *  shared history per window index plus every learned scheme's
+     *  slice (at most the sum of the schemes' schemeStateWords). */
+    std::size_t stateWords() const { return state_.size(); }
 
     /**
      * Evaluate every scheme of the batch over one trace (predictor
@@ -142,81 +101,89 @@ class BatchEvaluator
                   predict::UpdateMode mode);
 
   private:
-    /** Flat function dispatch: the batched kernel's opcode. */
-    enum class Op : std::uint8_t
-    {
-        Last,        ///< union/inter, depth 1
-        Union,       ///< union, depth >= 2
-        Inter,       ///< inter, depth >= 2
-        OverlapLast, ///< overlap-filtered last
-        PAs,         ///< two-level adaptive (via PAsFunction)
-        Perceptron,  ///< hashed perceptron (via PerceptronFunction)
-    };
-
-    /** One compiled scheme: plan + opcode + state slice. */
-    struct Compiled
+    /** One packed table: its index plan and slice of state_. */
+    struct Table
     {
         predict::IndexPlan plan;
-        Op op = Op::Last;
-        unsigned depth = 1;
         std::size_t entryWords = 0;
-        /** Offset of this scheme's state slice in state_. */
+        /** Offset of this table's slice in state_. */
         std::size_t base = 0;
+    };
+
+    /** How a window-family scheme reads its shared history. */
+    enum class Read : std::uint8_t
+    {
+        Union,       ///< OR of the newest depth slots (last at depth 1)
+        Inter,       ///< AND of the newest depth slots
+        OverlapLast, ///< h0 when h0 and h1 intersect
+    };
+
+    /** One window-family scheme: a reader of its group's history,
+     *  with its tp / predicted-positive tallies. */
+    struct Member
+    {
+        Read read = Read::Union;
+        unsigned depth = 1;
+        std::size_t scheme = 0;
+        std::uint64_t tp = 0, pp = 0;
+    };
+
+    /** One shared history (tables_[h] for history h): D slots, and
+     *  its members [firstMember, endMember) sorted by depth. */
+    struct History
+    {
+        unsigned depth = 1;
+        std::size_t firstMember = 0, endMember = 0;
+    };
+
+    /** One learned scheme (tables_[histories_.size() + k]). */
+    struct Learned
+    {
         /** Concrete function, PAs only (plane layout lives there). */
         std::shared_ptr<const predict::PAsFunction> pas;
         /** Concrete function, perceptron only (same reason). */
         std::shared_ptr<const predict::PerceptronFunction> perc;
-        /** tp/fp/fn popcount tallies for the trace being walked. */
-        std::uint64_t tp = 0, fp = 0, fn = 0;
+        std::size_t scheme = 0;
+        std::uint64_t tp = 0, pp = 0;
     };
 
+    /** The event loop.  @return the trace's total actual-positive
+     *  count (readers under the node mask), for conservation. */
     template <predict::UpdateMode mode>
-    void runTrace(const trace::SharingTrace &trace,
-                  const std::vector<SharingBitmap> &ordered_fb);
+    std::uint64_t runTrace(const trace::SharingTrace &trace,
+                           const std::vector<SharingBitmap> &ordered_fb);
 
-    /** The Simd engine's event loop: lane groups stepped through the
-     *  selected lane kernel, leftover schemes through stepScheme. */
+    /** One shared history's push / fold / member tallies for one
+     *  event. */
     template <predict::UpdateMode mode>
-    void runTraceSimd(const trace::SharingTrace &trace,
-                      const std::vector<SharingBitmap> &ordered_fb);
+    static void stepHistory(const History &h, Member *members,
+                            std::uint64_t *entry, std::uint64_t *upd,
+                            bool has_prev, std::uint64_t inval,
+                            std::uint64_t fb_ordered, std::uint64_t mask,
+                            std::uint64_t actual);
 
-    /** One scheme's update/predict/tally for one event — the shared
-     *  per-scheme body of both engines' scalar paths. */
+    /** One learned scheme's update / predict / tally for one event. */
     template <predict::UpdateMode mode>
-    static void stepScheme(Compiled &c, std::uint64_t *entry,
-                           std::uint64_t *upd, bool has_prev,
-                           std::uint64_t inval,
-                           std::uint64_t fb_ordered, std::uint64_t mask,
-                           std::uint64_t actual,
-                           std::uint64_t actual_pop);
-
-    /** Simd-engine compilation: regroup window-family schemes into
-     *  lane groups, route the rest to scalarSchemes_, size and select
-     *  the lane kernel.  @p bits_of holds each scheme's index width. */
-    void partitionLanes(const std::vector<unsigned> &bits_of);
+    static void stepLearned(Learned &l, std::uint64_t *entry,
+                            std::uint64_t *upd, bool has_prev,
+                            std::uint64_t inval,
+                            std::uint64_t fb_ordered, std::uint64_t mask,
+                            std::uint64_t actual);
 
     std::vector<predict::SchemeSpec> schemes_;
-    std::vector<Compiled> compiled_;
     unsigned nNodes_;
-    unsigned nodeBits_;
-    BatchEngine engine_ = BatchEngine::Scalar;
-    /** All scalar-path predictor state, packed: scalar scheme i owns
-     *  [compiled_[i].base, base + entries * entryWords). */
+    /** Shared histories first, then one table per learned scheme. */
+    std::vector<Table> tables_;
+    std::vector<History> histories_;
+    std::vector<Member> members_;
+    std::vector<Learned> learned_;
+    /** All predictor state, packed: table t owns
+     *  [tables_[t].base, base + entries * entryWords). */
     std::vector<std::uint64_t> state_;
-    /** Per-event scratch for the address pass: each scheme's resolved
+    /** Per-event scratch for the address pass: each table's resolved
      *  entry (and, under forwarded update, update-entry) pointer. */
     std::vector<std::uint64_t *> entryScratch_;
     std::vector<std::uint64_t *> updScratch_;
-    /** Simd engine only: lane groups, their SoA state block, the
-     *  schemes left on the scalar path (all of them under Scalar),
-     *  and the selected lane kernel. */
-    std::vector<lanes::LaneGroup> laneGroups_;
-    std::vector<std::uint64_t> laneState_;
-    std::vector<std::size_t> scalarSchemes_;
-    /** Per-event lane-index scratch the kernel's address stage fills
-     *  (laneScratchWords per group). */
-    std::vector<std::uint64_t> laneIdxScratch_;
-    const lanes::LaneKernel *laneKernel_ = nullptr;
 };
 
 /** Ceiling on one scheme's packed state (2^38 words = 2 TiB): any
@@ -227,23 +194,17 @@ class BatchEvaluator
 inline constexpr std::size_t maxSchemeStateWords = std::size_t(1)
                                                    << 38;
 
-/** Cap on the index-width spread inside one simd lane group: lanes of
- *  one (family, depth) class may differ in index bits, with the
- *  group's entry count padded to the widest lane's — but a lane is
- *  never padded by more than this many bits (2^maxLanePadBits = 16x
- *  its own entry count), so grouping cannot blow up the batch's state
- *  footprint; schemes too narrow for any group within the cap ride
- *  the scalar path instead. */
-inline constexpr unsigned maxLanePadBits = 4;
-
 /**
  * Packed predictor-state words one scheme needs in the event-major
  * kernel: table entries (2^indexBits) x words per entry.  This is the
  * footprint planBatches accumulates and the memory-budget guard
- * (common/mem_budget.hh) admits against — a close lower bound on the
- * reference kernel's PredictorTable as well (which adds per-entry
- * bookkeeping on top of the same state).  Fatal (exit, not wrap) for
- * schemes past maxSchemeStateWords or predict::maxTableIndexBits.
+ * (common/mem_budget.hh) admits against — an upper bound on what the
+ * scheme adds to a batch (window schemes of one index share a
+ * history, so all but the deepest add nothing), and a close lower
+ * bound on the reference kernel's PredictorTable (which adds
+ * per-entry bookkeeping on top of the same state).  Fatal (exit, not
+ * wrap) for schemes past maxSchemeStateWords or
+ * predict::maxTableIndexBits.
  */
 std::size_t schemeStateWords(const predict::SchemeSpec &scheme,
                              unsigned n_nodes);

@@ -197,9 +197,7 @@ ParallelSweep::evaluateTask(const std::vector<trace::SharingTrace> &traces,
         BatchEvaluator batch(
             {schemes.begin() + static_cast<std::ptrdiff_t>(task.first),
              schemes.begin() + static_cast<std::ptrdiff_t>(task.last)},
-            traces.front().nNodes(),
-            kernel_ == SweepKernel::Simd ? BatchEngine::Simd
-                                         : BatchEngine::Scalar);
+            traces.front().nNodes());
         auto batch_results = batch.evaluateSuite(traces, mode);
         for (std::size_t i = 0; i < batch_results.size(); ++i)
             results[task.first + i] = std::move(batch_results[i]);

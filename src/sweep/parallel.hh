@@ -48,12 +48,9 @@ namespace ccp::sweep {
  *               (predict/evaluator.hh) — the original loop, kept as
  *               the differential-testing oracle and for `--kernel
  *               reference` A/B runs.
- *  - Simd:      the BatchEvaluator again, with its SoA lane engine
- *               (sweep/batch_lanes.hh): window-family schemes are
- *               regrouped into 4-wide u64 lanes per layout class and
- *               stepped by the AVX2 lane kernel where available
- *               (portable u64-array fallback by CPUID or
- *               CCP_SIMD_DISABLE=1).
+ *  - Simd:      an alias of Batched, kept so `--kernel simd` and
+ *               the repository benchmark, which name it, keep
+ *               working.
  *
  * All kernels produce bit-identical Confusion counts for every
  * (scheme, trace, mode), so rankings and printed tables never depend

@@ -23,13 +23,13 @@
  * Two comparison modes:
  *
  *  - Relative (default): gates metrics that are ratios of two runs on
- *    the SAME machine — the batched/reference speedup, the
- *    simd/batched speedup, and the tracing overhead — so a baseline
+ *    the SAME machine — the batched/reference speedup and the
+ *    tracing overhead — so a baseline
  *    committed from one host is a valid gate on any other (CI runners
  *    differ in absolute throughput by design, and gating absolute
  *    numbers across hosts would only flake).
  *  - --absolute: additionally gates the absolute scheme-events/s of
- *    every section (reference, batched, batched_parallel, simd).
+ *    every section (reference, batched, batched_parallel).
  *    Use it when baseline and current come from the same machine,
  *    e.g. the nightly archive.
  *
@@ -44,9 +44,6 @@
  *    a metric must never silently disappear.
  *  - Zero (or otherwise degenerate) denominators are explicit
  *    failures with a message, never inf/nan rows that "pass".
- *  - simd_speedup is only gated when the current record's
- *    simd.backend is "avx2"; the scalar fallback is recorded but
- *    carries no vector-speedup promise.
  *
  * --archive <dir> copies the current record into @p dir under a name
  * stamped from its own metadata (date + git SHA), building the history
@@ -211,18 +208,6 @@ runChecks(const std::vector<Check> &checks, double max_regress)
         ok = ok && pass;
     }
     return ok;
-}
-
-/** String field at doc[section][key]; fallback when absent. */
-std::string
-sectionString(const Json &doc, const char *section, const char *key,
-              const char *fallback)
-{
-    if (const Json *sec = doc.find(section))
-        if (const Json *v = sec->find(key))
-            if (v->kind() == Json::Kind::String)
-                return v->asString();
-    return fallback;
 }
 
 std::string
@@ -444,23 +429,9 @@ main(int argc, char **argv)
             }
         }
     }
-    // simd_speedup only promises "vector lanes beat batched" when the
-    // vector backend actually ran; a scalar-fallback record (non-AVX2
-    // host, CCP_SIMD_DISABLE) is recorded without gating.
-    {
-        Check &c = pushCheck("simd_speedup (simd/batched)",
-                             field(*base, "", "simd_speedup"),
-                             field(*cur, "", "simd_speedup"));
-        const std::string backend =
-            sectionString(*cur, "simd", "backend", "unknown");
-        if (backend != "avx2") {
-            c.gate = false;
-            c.note = "  not gated (backend=" + backend + ")";
-        }
-    }
     if (opt.absolute) {
         for (const char *sec :
-             {"reference", "batched", "batched_parallel", "simd"})
+             {"reference", "batched", "batched_parallel"})
             pushCheck(sec,
                       field(*base, sec, "scheme_events_per_sec") / 1e6,
                       field(*cur, sec, "scheme_events_per_sec") / 1e6);
